@@ -26,6 +26,7 @@ from .diagnostics import (
 from .errors import (
     ConvergenceError,
     DomainmixError,
+    EncoderMutatedError,
     NoMixablePairsError,
     NonFiniteGradientError,
     ValidationError,
@@ -47,6 +48,7 @@ __all__ = [
     "DomainGraph",
     "DomainmixError",
     "EgoSubgraph",
+    "EncoderMutatedError",
     "FewShotTask",
     "MixBatch",
     "MixedSubgraph",

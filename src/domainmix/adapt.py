@@ -9,14 +9,14 @@ prototype under temperature-scaled cosine similarity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import Tensor, dot, parameter, stack
-from .errors import ValidationError
+from .autodiff import Tensor, as_tensor, dot, parameter, stack
+from .errors import EncoderMutatedError, ValidationError
 from .graphs import extract_ego
-from .nn import PROB_FLOOR, _restriction, encode_nodes, gcn_encode, mean_pool
+from .nn import PROB_FLOOR, encode_nodes, gcn_encode, mean_pool
 from .optim import Adam
 
 # keeps cosine well-defined on (vanishingly unlikely) zero embeddings
@@ -69,8 +69,7 @@ def mixed_prompt(alpha, centers) -> Tensor:
     mat = np.stack(
         [np.asarray(getattr(c, "vector", c), dtype=np.float64) for c in centers]
     )
-    if not isinstance(alpha, Tensor):
-        alpha = Tensor(np.asarray(alpha, dtype=np.float64))
+    alpha = as_tensor(alpha)
     if alpha.data.shape != (mat.shape[0],):
         raise ValidationError(
             f"alpha has shape {alpha.data.shape}, expected ({mat.shape[0]},)"
@@ -80,8 +79,7 @@ def mixed_prompt(alpha, centers) -> Tensor:
 
 def apply_prompt(features, p_mix) -> Tensor:
     """Rowwise Hadamard modulation of the target features."""
-    x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
-    p = p_mix if isinstance(p_mix, Tensor) else Tensor(np.asarray(p_mix, dtype=np.float64))
+    x, p = as_tensor(features), as_tensor(p_mix)
     if x.data.shape[1] != p.data.shape[0]:
         raise ValidationError(
             f"feature width {x.data.shape[1]} does not match prompt length "
@@ -90,46 +88,30 @@ def apply_prompt(features, p_mix) -> Tensor:
     return x * p
 
 
-class _PromptedSub:
-    """Minimal subgraph view with differentiable features."""
+def _encode_items(state, graph, aligned_matrix, p_mix, items, mode, hops):
+    """Embedding matrix for (node, label) items, and each item's row in it.
 
-    def __init__(self, features, edges):
-        self.features = features
-        self.edges = edges
+    Node mode embeds the distinct nodes with one encode_nodes call; graph
+    mode stacks the pooled embeddings of each item's prompted ego.
+    """
+    if mode == "node":
+        wanted = sorted({int(node) for node, _ in items})
+        x = apply_prompt(aligned_matrix, p_mix)
+        h = encode_nodes(graph, x, state, np.array(wanted))
+        row_of = {node: i for i, node in enumerate(wanted)}
+        return h, [row_of[int(node)] for node, _ in items]
+    pooled = []
+    for node, _ in items:
+        ego = extract_ego(graph, int(node), hops, aligned_matrix)
+        prompted = replace(ego, features=apply_prompt(ego.features, p_mix))
+        pooled.append(mean_pool(gcn_encode(prompted, state)))
+    return stack(pooled), list(range(len(items)))
 
 
 def _embed_items(state, graph, aligned_matrix, p_mix, items, mode, hops):
     """One embedding Tensor per (node, label) item."""
-    if mode == "node":
-        wanted = sorted({int(node) for node, _ in items})
-        h_sel = encode_nodes(
-            graph, apply_prompt(aligned_matrix, p_mix), state, np.array(wanted)
-        )
-        row_of = {node: i for i, node in enumerate(wanted)}
-        return [h_sel[row_of[int(node)]] for node, _ in items]
-    out = []
-    for node, _ in items:
-        ego = extract_ego(graph, int(node), hops, aligned_matrix)
-        sub = _PromptedSub(apply_prompt(ego.features, p_mix), ego.edges_local)
-        out.append(mean_pool(gcn_encode(sub, state)))
-    return out
-
-
-def _embed_items_np(state, graph, aligned_matrix, p_mix_data, items):
-    """Forward-only numpy twin of _embed_items for node mode.
-
-    Same arithmetic in the same order, but without building a tape;
-    evaluation never needs gradients.
-    """
-    wanted = sorted({int(node) for node, _ in items})
-    rows0, rows1, s2 = _restriction(graph, np.asarray(wanted, dtype=np.int64))
-    feats = aligned_matrix * p_mix_data
-    w1 = state.params["encoder.w1"].data
-    w2 = state.params["encoder.w2"].data
-    hidden = np.maximum(rows1 @ (feats[s2] @ w1), 0.0)
-    h_sel = (rows0 @ hidden) @ w2
-    row_of = {node: i for i, node in enumerate(wanted)}
-    return [h_sel[row_of[int(node)]] for node, _ in items]
+    h, rows = _encode_items(state, graph, aligned_matrix, p_mix, items, mode, hops)
+    return [h[r] for r in rows]
 
 
 def compute_prototypes(embeddings, items, num_classes: int):
@@ -195,45 +177,30 @@ def adapt(state, target, target_aligned, centers, task: FewShotTask, config):
         history.append(loss.item())
     for name, before in frozen.items():
         if not np.array_equal(before, state.params[name].data):
-            raise RuntimeError(f"encoder parameter {name} changed during adaptation")
+            raise EncoderMutatedError(f"encoder parameter {name} changed during adaptation")
     return alpha.data.copy(), history
 
 
 def evaluate(state, alpha, target, target_aligned, centers, task: FewShotTask, config) -> float:
     """Nearest-prototype accuracy over the query set."""
+    if not task.query:
+        return 0.0
     matrix = getattr(target_aligned, "matrix", target_aligned)
     p_mix = mixed_prompt(alpha, centers)
-    if task.mode == "node":
-        support_emb = _embed_items_np(state, target, matrix, p_mix.data, task.support)
-        by_class = {c: [] for c in range(task.num_classes)}
-        for emb, (_, label) in zip(support_emb, task.support):
-            by_class[label].append(emb)
-        proto_vecs = [
-            np.stack(by_class[c]).mean(axis=0) for c in range(task.num_classes)
-        ]
-        query_emb = _embed_items_np(state, target, matrix, p_mix.data, task.query)
-        correct = 0
-        for emb, (_, label) in zip(query_emb, task.query):
-            sims = [_cosine_np(emb, vec) for vec in proto_vecs]
-            if int(np.argmax(sims)) == label:
-                correct += 1
-        return correct / len(task.query)
-    support_emb = _embed_items(
-        state, target, matrix, p_mix, task.support, task.mode, config.hops
-    )
-    protos = compute_prototypes(support_emb, task.support, task.num_classes)
-    proto_vecs = [p.data for p in protos]
-    query_emb = _embed_items(
-        state, target, matrix, p_mix, task.query, task.mode, config.hops
-    )
+
+    def embed(items):
+        h, rows = _encode_items(state, target, matrix, p_mix, items, task.mode, config.hops)
+        return h.data[rows]
+
+    support = embed(task.support)
+    labels = np.array([y for _, y in task.support])
+    proto_vecs = [support[labels == c].mean(axis=0) for c in range(task.num_classes)]
     correct = 0
-    for emb, (_, label) in zip(query_emb, task.query):
-        sims = [
-            _cosine_np(emb.data, vec) for vec in proto_vecs
-        ]
+    for emb, (_, label) in zip(embed(task.query), task.query):
+        sims = [_cosine_np(emb, vec) for vec in proto_vecs]
         if int(np.argmax(sims)) == label:
             correct += 1
-    return correct / len(task.query) if task.query else 0.0
+    return correct / len(task.query)
 
 
 def _cosine_np(u, v) -> float:

@@ -3,7 +3,10 @@
 Covers exactly the operations the models need: broadcast arithmetic,
 matmul, sparse-dense matmul, relu, log, sqrt, clamp, softmax, reductions,
 indexing, stacking, and a gradient-reversal wrapper. Every tensor tracks
-its parents; backward() walks the graph once in reverse topological order.
+its parents; backward() walks the graph once in reverse topological order,
+handing each op its output's gradient. No backward closure refers to its
+own output, so a finished tape holds no reference cycle and is freed as
+soon as the loss is dropped.
 """
 
 from __future__ import annotations
@@ -66,31 +69,26 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward()
+                node._backward(node.grad)
 
     # --- arithmetic ---
 
     def __add__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data + other.data, parents=(self, other))
 
-        def back():
-            self.grad += _unbroadcast(out.grad, self.data.shape)
-            other.grad += _unbroadcast(out.grad, other.data.shape)
+        def back(g):
+            self.grad += _unbroadcast(g, self.data.shape)
+            other.grad += _unbroadcast(g, other.data.shape)
 
-        out._backward = back
-        return out
+        return Tensor(self.data + other.data, parents=(self, other), backward=back)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Tensor(-self.data, parents=(self,))
+        def back(g):
+            self.grad += -g
 
-        def back():
-            self.grad += -out.grad
-
-        out._backward = back
-        return out
+        return Tensor(-self.data, parents=(self,), backward=back)
 
     def __sub__(self, other):
         return self + (-as_tensor(other))
@@ -100,30 +98,26 @@ class Tensor:
 
     def __mul__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data * other.data, parents=(self, other))
 
-        def back():
-            self.grad += _unbroadcast(out.grad * other.data, self.data.shape)
-            other.grad += _unbroadcast(out.grad * self.data, other.data.shape)
+        def back(g):
+            self.grad += _unbroadcast(g * other.data, self.data.shape)
+            other.grad += _unbroadcast(g * self.data, other.data.shape)
 
-        out._backward = back
-        return out
+        return Tensor(self.data * other.data, parents=(self, other), backward=back)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = as_tensor(other)
-        out = Tensor(self.data / other.data, parents=(self, other))
 
-        def back():
-            self.grad += _unbroadcast(out.grad / other.data, self.data.shape)
+        def back(g):
+            self.grad += _unbroadcast(g / other.data, self.data.shape)
             other.grad += _unbroadcast(
-                -out.grad * self.data / (other.data * other.data),
+                -g * self.data / (other.data * other.data),
                 other.data.shape,
             )
 
-        out._backward = back
-        return out
+        return Tensor(self.data / other.data, parents=(self, other), backward=back)
 
     def __rtruediv__(self, other):
         return as_tensor(other) / self
@@ -131,10 +125,8 @@ class Tensor:
     def __matmul__(self, other):
         other = as_tensor(other)
         a, b = self.data, other.data
-        out = Tensor(a @ b, parents=(self, other))
 
-        def back():
-            g = out.grad
+        def back(g):
             if a.ndim == 2 and b.ndim == 2:
                 self.grad += g @ b.T
                 other.grad += a.T @ g
@@ -152,38 +144,29 @@ class Tensor:
                     f"unsupported matmul ranks {a.ndim} x {b.ndim}"
                 )
 
-        out._backward = back
-        return out
+        return Tensor(a @ b, parents=(self, other), backward=back)
 
     # --- elementwise nonlinearities ---
 
     def relu(self):
-        out = Tensor(np.maximum(self.data, 0.0), parents=(self,))
+        def back(g):
+            self.grad += g * (self.data > 0)
 
-        def back():
-            self.grad += out.grad * (self.data > 0)
-
-        out._backward = back
-        return out
+        return Tensor(np.maximum(self.data, 0.0), parents=(self,), backward=back)
 
     def log(self):
-        out = Tensor(np.log(self.data), parents=(self,))
+        def back(g):
+            self.grad += g / self.data
 
-        def back():
-            self.grad += out.grad / self.data
-
-        out._backward = back
-        return out
+        return Tensor(np.log(self.data), parents=(self,), backward=back)
 
     def sqrt(self):
         root = np.sqrt(self.data)
-        out = Tensor(root, parents=(self,))
 
-        def back():
-            self.grad += out.grad / (2.0 * root)
+        def back(g):
+            self.grad += g / (2.0 * root)
 
-        out._backward = back
-        return out
+        return Tensor(root, parents=(self,), backward=back)
 
     def clamp(self, lo=None, hi=None):
         """Clip values; gradient passes only through unclipped entries."""
@@ -193,55 +176,43 @@ class Tensor:
             inside &= self.data >= lo
         if hi is not None:
             inside &= self.data <= hi
-        out = Tensor(clipped, parents=(self,))
 
-        def back():
-            self.grad += out.grad * inside
+        def back(g):
+            self.grad += g * inside
 
-        out._backward = back
-        return out
+        return Tensor(clipped, parents=(self,), backward=back)
 
     def softmax(self):
         """Softmax over the last axis, numerically shifted."""
         shifted = self.data - self.data.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         y = e / e.sum(axis=-1, keepdims=True)
-        out = Tensor(y, parents=(self,))
 
-        def back():
-            g = out.grad
+        def back(g):
             inner = (g * y).sum(axis=-1, keepdims=True)
             self.grad += y * (g - inner)
 
-        out._backward = back
-        return out
+        return Tensor(y, parents=(self,), backward=back)
 
     # --- reductions / shaping ---
 
     def sum(self, axis=None):
-        out = Tensor(self.data.sum(axis=axis), parents=(self,))
-
-        def back():
-            g = out.grad
+        def back(g):
             if axis is not None:
                 g = np.expand_dims(g, axis)
             self.grad += np.broadcast_to(g, self.data.shape)
 
-        out._backward = back
-        return out
+        return Tensor(self.data.sum(axis=axis), parents=(self,), backward=back)
 
     def mean(self, axis=None):
         count = self.data.size if axis is None else self.data.shape[axis]
         return self.sum(axis=axis) / float(count)
 
     def __getitem__(self, idx):
-        out = Tensor(self.data[idx], parents=(self,))
+        def back(g):
+            np.add.at(self.grad, idx, g)
 
-        def back():
-            np.add.at(self.grad, idx, out.grad)
-
-        out._backward = back
-        return out
+        return Tensor(self.data[idx], parents=(self,), backward=back)
 
 
 def as_tensor(value) -> Tensor:
@@ -254,38 +225,34 @@ def parameter(data) -> Tensor:
 
 def stack(tensors, axis=0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.stack([t.data for t in tensors], axis=axis), parents=tuple(tensors))
 
-    def back():
-        pieces = np.split(out.grad, len(tensors), axis=axis)
+    def back(g):
+        pieces = np.split(g, len(tensors), axis=axis)
         for t, piece in zip(tensors, pieces):
             t.grad += piece.reshape(t.data.shape)
 
-    out._backward = back
-    return out
+    data = np.stack([t.data for t in tensors], axis=axis)
+    return Tensor(data, parents=tuple(tensors), backward=back)
 
 
 def spmm(sparse, dense: Tensor) -> Tensor:
     """Sparse (constant) @ dense (differentiable)."""
-    out = Tensor(sparse @ dense.data, parents=(dense,))
+    out = sparse @ dense.data
     transpose = sparse.T.tocsr()
 
-    def back():
-        dense.grad += transpose @ out.grad
+    def back(g):
+        dense.grad += transpose @ g
 
-    out._backward = back
-    return out
+    return Tensor(out, parents=(dense,), backward=back)
 
 
 def grl(t: Tensor, beta: float = 1.0) -> Tensor:
     """Identity forward; backward multiplies the gradient by -beta."""
-    out = Tensor(t.data, parents=(t,))
 
-    def back():
-        t.grad += -beta * out.grad
+    def back(g):
+        t.grad += -beta * g
 
-    out._backward = back
-    return out
+    return Tensor(t.data, parents=(t,), backward=back)
 
 
 def dot(u: Tensor, v: Tensor) -> Tensor:

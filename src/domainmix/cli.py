@@ -23,7 +23,7 @@ from .config import RunConfig, load_config, save_config
 from .diagnostics import compute_diagnostics
 from .errors import DomainmixError, ValidationError
 from .io import load_checkpoint, save_checkpoint, write_matrix
-from .mixing import build_batch, sample_intra_pairs, select_pairs
+from .mixing import epoch_batches
 from .nn import init_model, pretrain
 from .pipeline import episode_metrics, prepare, redundancy_experiment
 from .seeding import sub_seed
@@ -156,32 +156,7 @@ def cmd_mix(args) -> int:
     cfg = _build_config(args)
     sources, _, _ = _load_data(args)
     aligned, _, boundary_sets = prepare(sources, cfg)
-    inter_pairs = select_pairs(
-        boundary_sets,
-        aligned,
-        cfg.gamma,
-        cfg.n_pairs,
-        rng_seed=sub_seed(cfg.seed, "inter-pairs"),
-        mode=cfg.pair_mode,
-    )
-    if cfg.intra_pool == "boundary":
-        pools = [bs.node_ids for bs in boundary_sets]
-    else:
-        pools = [np.arange(g.num_nodes) for g in sources]
-    intra_pairs = sample_intra_pairs(
-        pools, cfg.n_pairs, len(sources), rng_seed=sub_seed(cfg.seed, "intra-pairs-epoch-0")
-    )
-    rng = np.random.default_rng(sub_seed(cfg.seed, "lambda"))
-    batch = build_batch(
-        inter_pairs,
-        intra_pairs,
-        sources,
-        aligned,
-        hops=cfg.hops,
-        lambda_mode=cfg.lambda_mode,
-        lambda_alpha=cfg.lambda_alpha,
-        rng=rng,
-    )
+    batch = epoch_batches(sources, aligned, boundary_sets, cfg)(0)
     out = _out_dir(args)
     with open(out / "mixed.jsonl", "w", encoding="utf-8") as fh:
         for kind, subs in (("inter", batch.inter), ("intra", batch.intra)):
@@ -340,7 +315,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
 
-    p = stage("mix", cmd_mix, "build one batch of mixed subgraphs")
+    p = stage("mix", cmd_mix, "write the epoch-0 pre-training batch of mixed subgraphs")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
 

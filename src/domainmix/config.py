@@ -35,7 +35,6 @@ class RunConfig:
     pair_mode: str = "boundary-top"
     intra_pool: str = "boundary"
     scale_features: bool = False
-    threads: int = 1
 
     def validate(self) -> "RunConfig":
         if not 0.0 < self.rho < 1.0:
@@ -49,7 +48,7 @@ class RunConfig:
                 raise ValidationError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.weight_decay < 0:
             raise ValidationError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        for name in ("pca_dim", "hidden", "hops", "n_pairs", "shots", "repeats", "threads"):
+        for name in ("pca_dim", "hidden", "hops", "n_pairs", "shots", "repeats"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("epochs_pre", "steps_adapt"):

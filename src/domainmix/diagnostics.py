@@ -59,23 +59,6 @@ def spectral_norm(mat, tol: float = POWER_TOL, max_steps: int = POWER_MAX_STEPS)
     )
 
 
-def _sub_num_nodes(sub) -> int:
-    if hasattr(sub, "num_nodes"):
-        return sub.num_nodes
-    return len(sub.nodes_global)
-
-
-def _sub_edges(sub):
-    edges = getattr(sub, "edges", None)
-    if edges is None:
-        edges = getattr(sub, "edges_local", np.empty((0, 2), dtype=np.int64))
-    return edges
-
-
-def _sub_adjacency(sub) -> sp.csr_matrix:
-    return normalized_adjacency(_sub_num_nodes(sub), _sub_edges(sub))
-
-
 def lipschitz_upper(
     state: ModelState,
     subgraphs,
@@ -88,7 +71,10 @@ def lipschitz_upper(
         raise ValidationError("need at least one subgraph for the adjacency term")
     s1 = spectral_norm(state.params["encoder.w1"].data, tol, max_steps)
     s2 = spectral_norm(state.params["encoder.w2"].data, tol, max_steps)
-    a_max = max(spectral_norm(_sub_adjacency(s), tol, max_steps) for s in subgraphs)
+    a_max = max(
+        spectral_norm(normalized_adjacency(s.num_nodes, s.edges), tol, max_steps)
+        for s in subgraphs
+    )
     return s1 * s2 * a_max**2
 
 
@@ -191,7 +177,7 @@ def _local_edge_sets(mixed, sub_a, sub_b):
 
     def relabel(sub, gmap):
         out = set()
-        for u, v in sub.edges_local:
+        for u, v in sub.edges:
             mu = gmap[int(sub.nodes_global[u])]
             mv = gmap[int(sub.nodes_global[v])]
             if mu != mv:

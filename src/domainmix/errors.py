@@ -31,6 +31,10 @@ class ConvergenceError(DomainmixError, RuntimeError):
     """An iterative solver failed to converge within its step budget."""
 
 
+class EncoderMutatedError(DomainmixError, RuntimeError):
+    """A frozen encoder parameter changed during few-shot adaptation."""
+
+
 class NonFiniteGradientError(DomainmixError, RuntimeError):
     """A gradient became NaN or infinite during optimization."""
 

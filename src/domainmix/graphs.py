@@ -147,7 +147,7 @@ class EgoSubgraph:
     center_global: int
     center_local: int
     nodes_global: np.ndarray
-    edges_local: np.ndarray
+    edges: np.ndarray
     features: np.ndarray
 
     @property
@@ -155,7 +155,7 @@ class EgoSubgraph:
         return len(self.nodes_global)
 
     def edge_set(self) -> set:
-        return {(int(u), int(v)) for u, v in self.edges_local}
+        return {(int(u), int(v)) for u, v in self.edges}
 
 
 def extract_ego(graph: DomainGraph, center: int, hops: int, features=None) -> EgoSubgraph:
@@ -197,7 +197,7 @@ def extract_ego(graph: DomainGraph, center: int, hops: int, features=None) -> Eg
             v = int(v)
             if v in local_of and int(g) < v:
                 edges.append((local_of[int(g)], local_of[v]))
-    edges_local = (
+    edges = (
         np.array(sorted(edges), dtype=np.int64)
         if edges
         else np.empty((0, 2), dtype=np.int64)
@@ -207,7 +207,7 @@ def extract_ego(graph: DomainGraph, center: int, hops: int, features=None) -> Eg
         center_global=int(center),
         center_local=local_of[int(center)],
         nodes_global=nodes_global,
-        edges_local=edges_local,
+        edges=edges,
         features=np.asarray(features, dtype=np.float64)[nodes_global].copy(),
     )
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import NoMixablePairsError, ValidationError
 from .graphs import extract_ego
+from .seeding import sub_seed
 
 
 @dataclass
@@ -284,7 +285,7 @@ def mix_subgraphs(sub_a, sub_b, lam: float, num_domains: int | None = None) -> M
     edge_set = set()
     for mapping, sub in ((map_a, sub_a), (map_b, sub_b)):
         globals_ = sub.nodes_global
-        for u, v in sub.edges_local:
+        for u, v in sub.edges:
             lu, lv = mapping[int(globals_[u])], mapping[int(globals_[v])]
             if lu == lv:
                 continue
@@ -340,3 +341,50 @@ def build_batch(
         inter=[make(p) for p in inter_pairs],
         intra=[make(p) for p in intra_pairs],
     )
+
+
+def epoch_batches(graphs, aligned, boundary_sets, config):
+    """The pre-training batch builder: returns ``batch(epoch) -> MixBatch``.
+
+    Inter pairs are selected from the boundary sets and mixed once, here,
+    and every epoch reuses them; intra pairs are redrawn per epoch from
+    ``config.intra_pool``. Each draw has its own sub-seed of config.seed.
+    """
+    inter_pairs = select_pairs(
+        boundary_sets,
+        aligned,
+        config.gamma,
+        config.n_pairs,
+        rng_seed=sub_seed(config.seed, "inter-pairs"),
+        mode=config.pair_mode,
+    )
+    if config.intra_pool == "boundary":
+        pools = [bs.node_ids for bs in boundary_sets]
+    else:
+        pools = [np.arange(g.num_nodes) for g in graphs]
+
+    def mix(inter, intra, lambda_seed):
+        return build_batch(
+            inter,
+            intra,
+            graphs,
+            aligned,
+            hops=config.hops,
+            lambda_mode=config.lambda_mode,
+            lambda_alpha=config.lambda_alpha,
+            rng=np.random.default_rng(sub_seed(config.seed, lambda_seed)),
+        )
+
+    inter = mix(inter_pairs, [], "lambda-inter").inter
+
+    def batch(epoch: int) -> MixBatch:
+        intra_pairs = sample_intra_pairs(
+            pools,
+            config.n_pairs,
+            len(graphs),
+            rng_seed=sub_seed(config.seed, f"intra-pairs-epoch-{epoch}"),
+        )
+        intra = mix([], intra_pairs, f"lambda-epoch-{epoch}").intra
+        return MixBatch(inter=inter, intra=intra)
+
+    return batch

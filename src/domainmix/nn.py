@@ -15,7 +15,7 @@ import scipy.sparse as sp
 
 from .autodiff import Tensor, as_tensor, grl, parameter, spmm, stack
 from .errors import ValidationError
-from .mixing import build_batch, sample_intra_pairs, select_pairs
+from .mixing import epoch_batches
 from .optim import Adam
 from .seeding import sub_seed
 
@@ -79,41 +79,35 @@ def normalized_adjacency(num_nodes: int, edges) -> sp.csr_matrix:
     return a.multiply(d_inv_sqrt[:, None]).multiply(d_inv_sqrt[None, :]).tocsr()
 
 
+def _forward(rows0, rows1, x: Tensor, state: ModelState) -> Tensor:
+    """rows0 @ relu(rows1 @ X @ W1) @ W2, the encoder's one body."""
+    hidden = spmm(rows1, x @ state.params["encoder.w1"]).relu()
+    return spmm(rows0, hidden) @ state.params["encoder.w2"]
+
+
 def gcn_encode(sub, state: ModelState) -> Tensor:
     """H = A_hat @ relu(A_hat @ X @ W1) @ W2 over the subgraph's nodes."""
-    features = getattr(sub, "features", sub)
-    x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
+    x = as_tensor(sub.features)
     if x.data.shape[1] != state.d:
         raise ValidationError(
             f"feature width {x.data.shape[1]} does not match encoder input {state.d}"
         )
-    edges = getattr(sub, "edges", None)
-    if edges is None:
-        edges = getattr(sub, "edges_local", np.empty((0, 2), dtype=np.int64))
-    a_hat = normalized_adjacency(x.data.shape[0], edges)
-    hidden = spmm(a_hat, x @ state.params["encoder.w1"]).relu()
-    return spmm(a_hat, hidden) @ state.params["encoder.w2"]
+    a_hat = normalized_adjacency(sub.num_nodes, sub.edges)
+    return _forward(a_hat, a_hat, x, state)
 
 
 def _cached_a_hat(graph):
     # domain graphs are never mutated after construction, so the
     # propagation matrix can live on the instance
-    cached = getattr(graph, "_a_hat", None)
-    if cached is None:
-        cached = normalized_adjacency(graph.num_nodes, graph.edge_array())
-        try:
-            graph._a_hat = cached
-        except AttributeError:
-            pass
-    return cached
+    if getattr(graph, "_a_hat", None) is None:
+        graph._a_hat = normalized_adjacency(graph.num_nodes, graph.edge_array())
+    return graph._a_hat
 
 
 def encode_graph(graph, features, state: ModelState) -> Tensor:
     """Encoder applied to a whole domain graph (node-level embeddings)."""
-    x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
     a_hat = _cached_a_hat(graph)
-    hidden = spmm(a_hat, x @ state.params["encoder.w1"]).relu()
-    return spmm(a_hat, hidden) @ state.params["encoder.w2"]
+    return _forward(a_hat, a_hat, as_tensor(features), state)
 
 
 def encode_nodes(graph, features, state: ModelState, nodes) -> Tensor:
@@ -132,10 +126,8 @@ def encode_nodes(graph, features, state: ModelState, nodes) -> Tensor:
             f"node ids must be in [0, {graph.num_nodes}), got "
             f"[{nodes.min()}, {nodes.max()}]"
         )
-    x = features if isinstance(features, Tensor) else Tensor(np.asarray(features, dtype=np.float64))
     rows0, rows1, s2 = _restriction(graph, nodes)
-    hidden = spmm(rows1, x[s2] @ state.params["encoder.w1"]).relu()
-    return spmm(rows0, hidden) @ state.params["encoder.w2"]
+    return _forward(rows0, rows1, as_tensor(features)[s2], state)
 
 
 def _restriction(graph, nodes):
@@ -144,25 +136,17 @@ def _restriction(graph, nodes):
     Adaptation re-embeds the same support nodes every optimizer step, so
     the sparse slicing is worth caching alongside the graph.
     """
-    cache = getattr(graph, "_restriction_cache", None)
-    if cache is None:
-        cache = {}
-        try:
-            graph._restriction_cache = cache
-        except AttributeError:
-            cache = None
-    key = nodes.tobytes() if cache is not None else None
-    if cache is not None and key in cache:
-        return cache[key]
-    a_hat = _cached_a_hat(graph)
-    rows0 = a_hat[nodes]
-    s1 = np.unique(rows0.indices)  # 1-hop closure (self-loops included)
-    rows1 = a_hat[s1]
-    s2 = np.unique(rows1.indices)
-    out = (rows0[:, s1].tocsr(), rows1[:, s2].tocsr(), s2)
-    if cache is not None:
-        cache[key] = out
-    return out
+    if getattr(graph, "_restriction_cache", None) is None:
+        graph._restriction_cache = {}
+    key = nodes.tobytes()
+    if key not in graph._restriction_cache:
+        a_hat = _cached_a_hat(graph)
+        rows0 = a_hat[nodes]
+        s1 = np.unique(rows0.indices)  # 1-hop closure (self-loops included)
+        rows1 = a_hat[s1]
+        s2 = np.unique(rows1.indices)
+        graph._restriction_cache[key] = (rows0[:, s1].tocsr(), rows1[:, s2].tocsr(), s2)
+    return graph._restriction_cache[key]
 
 
 def mean_pool(node_embeddings: Tensor) -> Tensor:
@@ -259,52 +243,10 @@ def pretrain(graphs, aligned, boundary_sets, config):
         beta2=config.beta2,
         eps=config.adam_eps,
     )
-    inter_pairs = select_pairs(
-        boundary_sets,
-        aligned,
-        config.gamma,
-        config.n_pairs,
-        rng_seed=sub_seed(config.seed, "inter-pairs"),
-        mode=config.pair_mode,
-    )
-    if config.intra_pool == "boundary":
-        pools = [bs.node_ids for bs in boundary_sets]
-    else:
-        pools = [np.arange(g.num_nodes) for g in graphs]
-
-    inter_subs = build_batch(
-        inter_pairs,
-        [],
-        graphs,
-        aligned,
-        hops=config.hops,
-        lambda_mode=config.lambda_mode,
-        lambda_alpha=config.lambda_alpha,
-        rng=np.random.default_rng(sub_seed(config.seed, "lambda-inter")),
-    ).inter
-
+    batch = epoch_batches(graphs, aligned, boundary_sets, config)
     history = []
     for epoch in range(config.epochs_pre):
-        intra_pairs = sample_intra_pairs(
-            pools,
-            config.n_pairs,
-            num_domains,
-            rng_seed=sub_seed(config.seed, f"intra-pairs-epoch-{epoch}"),
-        )
-        batch = build_batch(
-            [],
-            intra_pairs,
-            graphs,
-            aligned,
-            hops=config.hops,
-            lambda_mode=config.lambda_mode,
-            lambda_alpha=config.lambda_alpha,
-            rng=np.random.default_rng(
-                sub_seed(config.seed, f"lambda-epoch-{epoch}")
-            ),
-        )
-        batch.inter = inter_subs
-        total, parts = loss_pretrain(batch, state, beta=config.grl_beta)
+        total, parts = loss_pretrain(batch(epoch), state, beta=config.grl_beta)
         opt.zero_grad()
         total.backward()
         opt.step()

@@ -382,7 +382,7 @@ def test_ego_extraction_matches_bfs_oracle(capsys):
                     (int(ego.nodes_global[u]), int(ego.nodes_global[v]))
                 )
             )
-            for u, v in ego.edges_local
+            for u, v in ego.edges
         }
         want_nodes, want_edges = _bfs_ego(g, center, hops)
         if got_nodes != want_nodes or got_edges != want_edges:
@@ -545,7 +545,7 @@ def test_lipschitz_bound_covers_single_node_edits(capsys):
         g = sources[k]
         ego = extract_ego(g, int(rng.integers(g.num_nodes)), 1, mats[k])
         n = len(ego.nodes_global)
-        before = _Sub(n, ego.edges_local, np.asarray(ego.features))
+        before = _Sub(n, ego.edges, np.asarray(ego.features))
         extra = rng.normal(size=6)
         extra /= max(1.0, float(np.linalg.norm(extra)))
         attach = int(rng.integers(n))

@@ -1,3 +1,4 @@
+import importlib
 import math
 import statistics
 
@@ -18,10 +19,11 @@ from domainmix.adapt import (
 from domainmix.align import DomainCenter
 from domainmix.autodiff import Tensor, parameter
 from domainmix.config import RunConfig
-from domainmix.errors import ValidationError
+from domainmix.errors import EncoderMutatedError, ValidationError
 from domainmix.graphs import build_domain_graph
 from domainmix.io import save_checkpoint
 from domainmix.nn import init_model
+from domainmix.optim import Adam
 
 
 def centers_of(vectors):
@@ -228,6 +230,22 @@ def test_adapt_param_count_and_freeze(tmp_path):
     assert alpha.shape == (2,)
     assert before.read_bytes() == after.read_bytes()
     assert len(history) == cfg.steps_adapt
+
+
+def test_adapt_raises_typed_error_when_encoder_changes(monkeypatch):
+    graph, feats, centers = separable_target()
+    state = init_model(6, 8, 2, seed=4)
+
+    class LeakyAdam(Adam):
+        def step(self):
+            super().step()
+            state.params["encoder.w1"].data += 1e-3
+
+    # the package re-exports the function ``adapt`` under the module's name
+    monkeypatch.setattr(importlib.import_module("domainmix.adapt"), "Adam", LeakyAdam)
+    task = sample_task(graph.labels, 1, np.random.default_rng(1))
+    with pytest.raises(EncoderMutatedError, match="encoder.w1"):
+        adapt(state, graph, feats, centers, task, adapt_config(steps_adapt=2))
 
 
 def test_adapt_loss_non_increasing_early():

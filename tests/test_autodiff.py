@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -211,3 +213,30 @@ def test_zero_grad():
     assert np.abs(x.grad).sum() > 0
     x.zero_grad()
     np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+
+
+def _live_tensors():
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, Tensor))
+
+
+def test_finished_tape_is_freed_without_cycle_collection():
+    rng = np.random.default_rng(16)
+    w = parameter(rng.normal(size=(3, 4)))
+    v = parameter(rng.normal(size=(4,)))
+    x = Tensor(rng.normal(size=(5, 3)))
+    a = sp.random(5, 5, density=0.5, random_state=2, format="csr")
+    gc.collect()
+    gc.disable()
+    try:
+        before = _live_tensors()
+        h = spmm(a, x @ w).relu()
+        rows = stack([h[i] for i in range(5)]).mean(axis=0)
+        probs = (grl(rows, beta=0.5) * 2.0 - 1.0).softmax().clamp(1e-12, 1.0)
+        norm = (dot(v, v) + 1.0).sqrt()
+        loss = -(probs.log().sum() / norm) + (v @ v) / (1.0 + rows @ v)
+        loss.backward()
+        del h, rows, probs, norm, loss
+        after = _live_tensors()
+    finally:
+        gc.enable()
+    assert after == before

@@ -8,9 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import domainmix.nn
 from domainmix.cli import cli
 from domainmix.config import RunConfig, load_config
 from domainmix.io import read_matrix
+from domainmix.pipeline import prepare
+from domainmix.synth import load_synth_dir
 
 GEN = [
     "gen-synth",
@@ -124,6 +127,38 @@ def test_mix_rows_are_simplex(workspace, tmp_path):
         assert abs(sum(row["mix_label"]) - 1.0) < 1e-9
         assert row["kind"] in ("inter", "intra")
         assert row["num_nodes"] >= 1
+
+
+def test_mix_writes_the_epoch_0_pretraining_batch(workspace, tmp_path, monkeypatch):
+    data, out = workspace / "data", tmp_path / "mix"
+    code, _, err = run(
+        ["mix", "--data", str(data), "--out", str(out), "--lambda-mode", "beta"] + CFG
+    )
+    assert code == 0, err
+    keys = ("domain_a", "center_a", "domain_b", "center_b", "lambda")
+    rows = [
+        tuple(json.loads(line)[k] for k in keys)
+        for line in (out / "mixed.jsonl").read_text().splitlines()
+    ]
+
+    batches = []
+    loss_pretrain = domainmix.nn.loss_pretrain
+
+    def capture(batch, state, beta=1.0):
+        batches.append(batch)
+        return loss_pretrain(batch, state, beta=beta)
+
+    monkeypatch.setattr(domainmix.nn, "loss_pretrain", capture)
+    cfg = RunConfig(
+        pca_dim=8, hidden=16, epochs_pre=1, n_pairs=4, gamma=0.3, seed=5,
+        lambda_mode="beta",
+    ).validate()
+    sources, _, _ = load_synth_dir(data)
+    aligned, _, boundary_sets = prepare(sources, cfg)
+    domainmix.nn.pretrain(sources, aligned, boundary_sets, cfg)
+    want = [sub.provenance for sub in batches[0].subgraphs]
+    assert rows == want
+    assert len({lam for *_, lam in want}) > 1  # beta draws, not the fixed 0.5
 
 
 def test_pretrain_artifacts(workspace):
@@ -314,20 +349,6 @@ def test_missing_model_exit_1(workspace):
 def test_no_subcommand_exit_1():
     code, _, _ = run([])
     assert code == 1
-
-
-def test_threads_flag_accepted(workspace, tmp_path):
-    out = tmp_path / "aligned"
-    code, _, err = run(
-        [
-            "align",
-            "--data", str(workspace / "data"),
-            "--out", str(out),
-            "--threads", "1",
-        ]
-        + CFG
-    )
-    assert code == 0, err
 
 
 def test_config_file_plus_override(workspace, tmp_path):

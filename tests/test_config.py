@@ -40,7 +40,6 @@ def test_defaults_validate():
         ("pair_mode", "top", "pair_mode"),
         ("intra_pool", "none", "intra_pool"),
         ("seed", -1, "seed"),
-        ("threads", 0, "threads"),
     ],
 )
 def test_validation_names_the_field(field, value, needle):

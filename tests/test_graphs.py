@@ -95,7 +95,7 @@ def test_ego_zero_hops_is_center_only():
     ego = extract_ego(g, 1, 0)
     np.testing.assert_array_equal(ego.nodes_global, [1])
     assert ego.center_local == 0
-    assert ego.edges_local.shape == (0, 2)
+    assert ego.edges.shape == (0, 2)
     np.testing.assert_array_equal(ego.features, [[2.0, 3.0]])
 
 

@@ -39,7 +39,7 @@ def ego(domain, center_global, nodes, edges, feats):
         center_global=center_global,
         center_local=local[center_global],
         nodes_global=nodes,
-        edges_local=np.array(pairs, dtype=np.int64).reshape(-1, 2),
+        edges=np.array(pairs, dtype=np.int64).reshape(-1, 2),
         features=np.asarray(feats, dtype=np.float64),
     )
 
@@ -256,7 +256,7 @@ def test_mix_union_edge_bound():
     a = extract_ego(g, 0, 1)
     b = extract_ego(g, 2, 1)
     mixed = mix_subgraphs(a, b, 0.5, num_domains=1)
-    assert len(mixed.edges) <= len(a.edges_local) + len(b.edges_local)
+    assert len(mixed.edges) <= len(a.edges) + len(b.edges)
 
 
 def test_mix_intra_shared_nodes_identified_once():
