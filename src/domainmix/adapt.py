@@ -9,14 +9,14 @@ prototype under temperature-scaled cosine similarity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import Tensor, as_tensor, dot, parameter, stack
 from .errors import EncoderMutatedError, ValidationError
-from .graphs import extract_ego
-from .nn import PROB_FLOOR, encode_nodes, gcn_encode, mean_pool
+from .graphs import extract_ego, graph_union
+from .nn import PROB_FLOOR, encode_nodes, encode_union
 from .optim import Adam
 
 # keeps cosine well-defined on (vanishingly unlikely) zero embeddings
@@ -88,29 +88,32 @@ def apply_prompt(features, p_mix) -> Tensor:
     return x * p
 
 
-def _encode_items(state, graph, aligned_matrix, p_mix, items, mode, hops):
-    """Embedding matrix for (node, label) items, and each item's row in it.
+def _item_encoder(state, graph, aligned_matrix, items, mode, hops):
+    """``encode(p_mix) -> (embedding matrix, each item's row in it)`` for
+    (node, label) items, with the prompt-independent work done here, once.
 
     Node mode embeds the distinct nodes with one encode_nodes call; graph
-    mode stacks the pooled embeddings of each item's prompted ego.
+    mode pools each item's prompted ego from the union of the egos.
     """
     if mode == "node":
         wanted = sorted({int(node) for node, _ in items})
-        x = apply_prompt(aligned_matrix, p_mix)
-        h = encode_nodes(graph, x, state, np.array(wanted))
         row_of = {node: i for i, node in enumerate(wanted)}
-        return h, [row_of[int(node)] for node, _ in items]
-    pooled = []
-    for node, _ in items:
-        ego = extract_ego(graph, int(node), hops, aligned_matrix)
-        prompted = replace(ego, features=apply_prompt(ego.features, p_mix))
-        pooled.append(mean_pool(gcn_encode(prompted, state)))
-    return stack(pooled), list(range(len(items)))
+        rows = [row_of[int(node)] for node, _ in items]
+        nodes = np.array(wanted)
+
+        def encode(p_mix):
+            x = apply_prompt(aligned_matrix, p_mix)
+            return encode_nodes(graph, x, state, nodes), rows
+
+        return encode
+    union = graph_union([extract_ego(graph, int(node), hops, aligned_matrix) for node, _ in items])
+    rows = list(range(len(items)))
+    return lambda p_mix: (encode_union(union, state, apply_prompt(union.ax, p_mix)), rows)
 
 
 def _embed_items(state, graph, aligned_matrix, p_mix, items, mode, hops):
     """One embedding Tensor per (node, label) item."""
-    h, rows = _encode_items(state, graph, aligned_matrix, p_mix, items, mode, hops)
+    h, rows = _item_encoder(state, graph, aligned_matrix, items, mode, hops)(p_mix)
     return [h[r] for r in rows]
 
 
@@ -161,12 +164,11 @@ def adapt(state, target, target_aligned, centers, task: FewShotTask, config):
     )
     frozen = {name: t.data.copy() for name, t in state.params.items()}
     matrix = getattr(target_aligned, "matrix", target_aligned)
+    encode = _item_encoder(state, target, matrix, task.support, task.mode, config.hops)
     history = []
     for _ in range(config.steps_adapt):
-        p_mix = mixed_prompt(alpha, centers)
-        support_emb = _embed_items(
-            state, target, matrix, p_mix, task.support, task.mode, config.hops
-        )
+        h, rows = encode(mixed_prompt(alpha, centers))
+        support_emb = [h[r] for r in rows]
         protos = compute_prototypes(support_emb, task.support, task.num_classes)
         loss = loss_downstream(
             support_emb, [y for _, y in task.support], protos, config.tau
@@ -189,7 +191,7 @@ def evaluate(state, alpha, target, target_aligned, centers, task: FewShotTask, c
     p_mix = mixed_prompt(alpha, centers)
 
     def embed(items):
-        h, rows = _encode_items(state, target, matrix, p_mix, items, task.mode, config.hops)
+        h, rows = _item_encoder(state, target, matrix, items, task.mode, config.hops)(p_mix)
         return h.data[rows]
 
     support = embed(task.support)

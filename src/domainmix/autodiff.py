@@ -6,7 +6,9 @@ indexing, stacking, and a gradient-reversal wrapper. Every tensor tracks
 its parents; backward() walks the graph once in reverse topological order,
 handing each op its output's gradient. No backward closure refers to its
 own output, so a finished tape holds no reference cycle and is freed as
-soon as the loss is dropped.
+soon as the loss is dropped. A gradient buffer is allocated only when a
+gradient first arrives (or is read), so forward-only work allocates none,
+and constants (leaves that are not trainable) receive no gradient.
 """
 
 from __future__ import annotations
@@ -27,14 +29,38 @@ def _unbroadcast(grad, shape):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "trainable", "_parents", "_backward")
+    __slots__ = ("data", "_grad", "trainable", "_parents", "_backward")
 
     def __init__(self, data, trainable=False, parents=(), backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = np.zeros_like(self.data)
+        self._grad = None
         self.trainable = trainable
         self._parents = parents
         self._backward = backward
+
+    @property
+    def grad(self) -> np.ndarray:
+        """The accumulated gradient; zeros until one arrives."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.data)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        self._grad = value
+
+    @property
+    def _constant(self) -> bool:
+        return not self.trainable and not self._parents
+
+    def _accumulate(self, g) -> None:
+        """Add ``g`` (already of this tensor's shape) to the gradient."""
+        if self._constant:
+            return
+        if self._grad is None:
+            self._grad = np.array(g, dtype=np.float64)
+        else:
+            self._grad += g
 
     @property
     def shape(self):
@@ -44,7 +70,7 @@ class Tensor:
         return float(self.data)
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        self._grad = None
 
     # --- graph walk ---
 
@@ -77,8 +103,8 @@ class Tensor:
         other = as_tensor(other)
 
         def back(g):
-            self.grad += _unbroadcast(g, self.data.shape)
-            other.grad += _unbroadcast(g, other.data.shape)
+            self._accumulate(_unbroadcast(g, self.data.shape))
+            other._accumulate(_unbroadcast(g, other.data.shape))
 
         return Tensor(self.data + other.data, parents=(self, other), backward=back)
 
@@ -86,7 +112,7 @@ class Tensor:
 
     def __neg__(self):
         def back(g):
-            self.grad += -g
+            self._accumulate(-g)
 
         return Tensor(-self.data, parents=(self,), backward=back)
 
@@ -100,8 +126,8 @@ class Tensor:
         other = as_tensor(other)
 
         def back(g):
-            self.grad += _unbroadcast(g * other.data, self.data.shape)
-            other.grad += _unbroadcast(g * self.data, other.data.shape)
+            self._accumulate(_unbroadcast(g * other.data, self.data.shape))
+            other._accumulate(_unbroadcast(g * self.data, other.data.shape))
 
         return Tensor(self.data * other.data, parents=(self, other), backward=back)
 
@@ -111,10 +137,9 @@ class Tensor:
         other = as_tensor(other)
 
         def back(g):
-            self.grad += _unbroadcast(g / other.data, self.data.shape)
-            other.grad += _unbroadcast(
-                -g * self.data / (other.data * other.data),
-                other.data.shape,
+            self._accumulate(_unbroadcast(g / other.data, self.data.shape))
+            other._accumulate(
+                _unbroadcast(-g * self.data / (other.data * other.data), other.data.shape)
             )
 
         return Tensor(self.data / other.data, parents=(self, other), backward=back)
@@ -128,17 +153,20 @@ class Tensor:
 
         def back(g):
             if a.ndim == 2 and b.ndim == 2:
-                self.grad += g @ b.T
-                other.grad += a.T @ g
+                # a constant operand (say, propagated features) can be large
+                if not self._constant:
+                    self._accumulate(g @ b.T)
+                if not other._constant:
+                    other._accumulate(a.T @ g)
             elif a.ndim == 1 and b.ndim == 2:
-                self.grad += b @ g
-                other.grad += np.outer(a, g)
+                self._accumulate(b @ g)
+                other._accumulate(np.outer(a, g))
             elif a.ndim == 2 and b.ndim == 1:
-                self.grad += np.outer(g, b)
-                other.grad += a.T @ g
+                self._accumulate(np.outer(g, b))
+                other._accumulate(a.T @ g)
             elif a.ndim == 1 and b.ndim == 1:
-                self.grad += g * b
-                other.grad += g * a
+                self._accumulate(g * b)
+                other._accumulate(g * a)
             else:
                 raise ValidationError(
                     f"unsupported matmul ranks {a.ndim} x {b.ndim}"
@@ -150,13 +178,13 @@ class Tensor:
 
     def relu(self):
         def back(g):
-            self.grad += g * (self.data > 0)
+            self._accumulate(g * (self.data > 0))
 
         return Tensor(np.maximum(self.data, 0.0), parents=(self,), backward=back)
 
     def log(self):
         def back(g):
-            self.grad += g / self.data
+            self._accumulate(g / self.data)
 
         return Tensor(np.log(self.data), parents=(self,), backward=back)
 
@@ -164,7 +192,7 @@ class Tensor:
         root = np.sqrt(self.data)
 
         def back(g):
-            self.grad += g / (2.0 * root)
+            self._accumulate(g / (2.0 * root))
 
         return Tensor(root, parents=(self,), backward=back)
 
@@ -178,7 +206,7 @@ class Tensor:
             inside &= self.data <= hi
 
         def back(g):
-            self.grad += g * inside
+            self._accumulate(g * inside)
 
         return Tensor(clipped, parents=(self,), backward=back)
 
@@ -190,7 +218,7 @@ class Tensor:
 
         def back(g):
             inner = (g * y).sum(axis=-1, keepdims=True)
-            self.grad += y * (g - inner)
+            self._accumulate(y * (g - inner))
 
         return Tensor(y, parents=(self,), backward=back)
 
@@ -200,7 +228,7 @@ class Tensor:
         def back(g):
             if axis is not None:
                 g = np.expand_dims(g, axis)
-            self.grad += np.broadcast_to(g, self.data.shape)
+            self._accumulate(np.broadcast_to(g, self.data.shape))
 
         return Tensor(self.data.sum(axis=axis), parents=(self,), backward=back)
 
@@ -210,7 +238,8 @@ class Tensor:
 
     def __getitem__(self, idx):
         def back(g):
-            np.add.at(self.grad, idx, g)
+            if not self._constant:
+                np.add.at(self.grad, idx, g)
 
         return Tensor(self.data[idx], parents=(self,), backward=back)
 
@@ -229,7 +258,7 @@ def stack(tensors, axis=0) -> Tensor:
     def back(g):
         pieces = np.split(g, len(tensors), axis=axis)
         for t, piece in zip(tensors, pieces):
-            t.grad += piece.reshape(t.data.shape)
+            t._accumulate(piece.reshape(t.data.shape))
 
     data = np.stack([t.data for t in tensors], axis=axis)
     return Tensor(data, parents=tuple(tensors), backward=back)
@@ -237,20 +266,19 @@ def stack(tensors, axis=0) -> Tensor:
 
 def spmm(sparse, dense: Tensor) -> Tensor:
     """Sparse (constant) @ dense (differentiable)."""
-    out = sparse @ dense.data
-    transpose = sparse.T.tocsr()
 
     def back(g):
-        dense.grad += transpose @ g
+        # built here, not in the forward: tape-free calls never pay for it
+        dense._accumulate(sparse.T.tocsr() @ g)
 
-    return Tensor(out, parents=(dense,), backward=back)
+    return Tensor(sparse @ dense.data, parents=(dense,), backward=back)
 
 
 def grl(t: Tensor, beta: float = 1.0) -> Tensor:
     """Identity forward; backward multiplies the gradient by -beta."""
 
     def back(g):
-        t.grad += -beta * g
+        t._accumulate(-beta * g)
 
     return Tensor(t.data, parents=(t,), backward=back)
 

@@ -1,4 +1,5 @@
-"""In-memory graph store: per-domain CSR graphs and ego subgraph extraction."""
+"""In-memory graph store: per-domain CSR graphs, ego subgraph extraction,
+and the block-diagonal union of subgraphs that the encoder batches over."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import GraphFormatError, ValidationError
 from .io import load_feature_matrix, read_edge_list, read_labels
@@ -175,40 +177,102 @@ def extract_ego(graph: DomainGraph, center: int, hops: int, features=None) -> Eg
         features = graph.features_raw
     features = getattr(features, "matrix", features)
 
-    visited = {center}
-    frontier = [center]
+    reached = np.zeros(graph.num_nodes, dtype=bool)
+    reached[center] = True
+    frontier = np.array([center], dtype=np.int64)
     for _ in range(hops):
-        nxt = []
-        for u in frontier:
-            for v in graph.neighbors(u):
-                v = int(v)
-                if v not in visited:
-                    visited.add(v)
-                    nxt.append(v)
-        if not nxt:
+        _, nbrs = _adjacent(graph, frontier)
+        frontier = np.unique(nbrs[~reached[nbrs]])
+        if len(frontier) == 0:
             break
-        frontier = nxt
+        reached[frontier] = True
+    nodes_global = np.flatnonzero(reached)
 
-    nodes_global = np.array(sorted(visited), dtype=np.int64)
-    local_of = {int(g): i for i, g in enumerate(nodes_global)}
-    edges = []
-    for g in nodes_global:
-        for v in graph.neighbors(int(g)):
-            v = int(v)
-            if v in local_of and int(g) < v:
-                edges.append((local_of[int(g)], local_of[v]))
-    edges = (
-        np.array(sorted(edges), dtype=np.int64)
-        if edges
-        else np.empty((0, 2), dtype=np.int64)
-    )
+    # rows come out in ascending node order and CSR lists are sorted, so
+    # the induced edges are already lexicographic in local ids
+    src, dst = _adjacent(graph, nodes_global)
+    keep = reached[dst] & (src < dst)
+    edges = np.column_stack(
+        [np.searchsorted(nodes_global, src[keep]), np.searchsorted(nodes_global, dst[keep])]
+    ).astype(np.int64)
     return EgoSubgraph(
         source_domain=graph.domain_id,
         center_global=int(center),
-        center_local=local_of[int(center)],
+        center_local=int(np.searchsorted(nodes_global, center)),
         nodes_global=nodes_global,
         edges=edges,
         features=np.asarray(features, dtype=np.float64)[nodes_global].copy(),
+    )
+
+
+def _adjacent(graph: DomainGraph, nodes: np.ndarray):
+    """Every (node, neighbor) pair of ``nodes``, as two arrays in CSR order."""
+    starts = graph.row_offsets[nodes]
+    counts = graph.row_offsets[nodes + 1] - starts
+    within = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+    return np.repeat(nodes, counts), graph.col_targets[np.repeat(starts, counts) + within]
+
+
+def normalized_adjacency(num_nodes: int, edges) -> sp.csr_matrix:
+    """Symmetric normalization of the adjacency with self-loops added."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(num_nodes)])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(num_nodes)])
+    a = sp.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(num_nodes, num_nodes))
+    # every row holds its self-loop, so no row is empty
+    d_inv_sqrt = 1.0 / np.sqrt(np.add.reduceat(a.data, a.indptr[:-1]))
+    a.data = a.data * np.repeat(d_inv_sqrt, np.diff(a.indptr)) * d_inv_sqrt[a.indices]
+    return a
+
+
+@dataclass
+class SubgraphUnion:
+    """Subgraphs as one disjoint-union graph, in the two pieces a two-layer
+    GCN with mean pooling reads (one block per subgraph, in order).
+
+    ``ax`` is A_hat @ X over every node. ``pool_a`` is P @ A_hat, where P
+    is the (subgraphs x nodes) segment-mean matrix, so row i of
+    ``pool_a @ H`` is the mean over subgraph i of A_hat @ H.
+    """
+
+    ax: np.ndarray
+    pool_a: sp.csr_matrix
+
+    @property
+    def num_graphs(self) -> int:
+        return self.pool_a.shape[0]
+
+
+def graph_union(subs) -> SubgraphUnion:
+    """Union of subgraphs (anything with ``features``/``edges``/``num_nodes``)
+    with one normalized_adjacency call: normalizing the block-diagonal
+    graph equals normalizing each block on its own."""
+    if not subs:
+        raise ValidationError("cannot build the union of zero subgraphs")
+    sizes = np.array([s.num_nodes for s in subs], dtype=np.int64)
+    if sizes.min() < 1:
+        raise ValidationError("cannot pool zero nodes")
+    offsets = np.cumsum(sizes) - sizes
+    edges = np.concatenate(
+        [np.asarray(s.edges, dtype=np.int64).reshape(-1, 2) + o for s, o in zip(subs, offsets)]
+    )
+    total = int(sizes.sum())
+    a_hat = normalized_adjacency(total, edges)
+    owner = np.repeat(np.arange(len(subs)), sizes)
+    pool = sp.csr_matrix(
+        (1.0 / sizes[owner], (owner, np.arange(total))), shape=(len(subs), total)
+    )
+    x = np.concatenate([np.asarray(s.features, dtype=np.float64) for s in subs])
+    return SubgraphUnion(ax=a_hat @ x, pool_a=(pool @ a_hat).tocsr())
+
+
+def join_unions(unions) -> SubgraphUnion:
+    """The union of unions: their blocks, in order."""
+    if len(unions) == 1:
+        return unions[0]
+    return SubgraphUnion(
+        ax=np.concatenate([u.ax for u in unions]),
+        pool_a=sp.block_diag([u.pool_a for u in unions], format="csr"),
     )
 
 

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import NoMixablePairsError, ValidationError
-from .graphs import extract_ego
+from .graphs import SubgraphUnion, extract_ego, graph_union, join_unions
 from .seeding import sub_seed
 
 
@@ -53,10 +52,23 @@ class MixedSubgraph:
 class MixBatch:
     inter: list
     intra: list
+    # the union of ``inter``, when the builder already holds it
+    inter_union: SubgraphUnion | None = field(default=None, repr=False, compare=False)
 
     @property
     def subgraphs(self) -> list:
         return self.inter + self.intra
+
+    def union(self) -> SubgraphUnion:
+        """``subgraphs`` as one block-diagonal graph, inter blocks first."""
+        halves = []
+        if self.inter:
+            halves.append(self.inter_union or graph_union(self.inter))
+        if self.intra:
+            halves.append(graph_union(self.intra))
+        if not halves:
+            raise ValidationError("empty batch")
+        return join_unions(halves)
 
 
 def cosine_sim(x, y) -> float:
@@ -129,38 +141,37 @@ def select_pairs(
             )
         return pairs
 
+    # the qualifying pairs as columns (sim, domain_a, node_a, domain_b,
+    # node_b), domain pair by domain pair and row-major within each
     ids = [np.asarray(bs.node_ids, dtype=np.int64) for bs in boundary_sets]
-    qualifying = []
+    columns = [[] for _ in range(5)]
     for ka in range(n_domains):
         for kb in range(ka + 1, n_domains):
             if len(ids[ka]) == 0 or len(ids[kb]) == 0:
                 continue
             sims = _cosine_matrix(mats[ka][ids[ka]], mats[kb][ids[kb]])
-            keep = np.argwhere(sims > gamma)
-            for r, c in keep:
-                qualifying.append(
-                    NodePair(
-                        ka,
-                        int(ids[ka][r]),
-                        kb,
-                        int(ids[kb][c]),
-                        float(sims[r, c]),
-                    )
-                )
-    if not qualifying:
+            r, c = np.nonzero(sims > gamma)
+            found = (sims[r, c], np.full(len(r), ka), ids[ka][r], np.full(len(r), kb), ids[kb][c])
+            for column, values in zip(columns, found):
+                column.append(values)
+    sim, da, na, db, nb = (
+        np.concatenate(column) if column else np.empty(0) for column in columns
+    )
+    if len(sim) == 0:
         raise NoMixablePairsError(
             f"no cross-domain boundary pair has similarity > {gamma}; lower gamma"
         )
     if mode == "boundary-random":
         rng = np.random.default_rng(rng_seed)
-        take = min(n_pairs, len(qualifying))
-        idx = rng.choice(len(qualifying), size=take, replace=False)
-        chosen = [qualifying[i] for i in sorted(idx)]
+        take = min(n_pairs, len(sim))
+        keep = np.sort(rng.choice(len(sim), size=take, replace=False))
     else:
-        qualifying.sort(
-            key=lambda p: (-p.similarity, p.domain_a, p.node_a, p.domain_b, p.node_b)
-        )
-        chosen = qualifying[:n_pairs]
+        # best-first; ties by (domain_a, node_a, domain_b, node_b)
+        keep = np.lexsort((nb, db, na, da, -sim))[:n_pairs]
+    chosen = [
+        NodePair(int(da[i]), int(na[i]), int(db[i]), int(nb[i]), float(sim[i]))
+        for i in keep
+    ]
     if len(chosen) < n_pairs:
         warnings.warn(
             f"only {len(chosen)} of {n_pairs} requested cross-domain pairs qualify",
@@ -189,7 +200,7 @@ def sample_intra_pairs(pools, n_pairs: int, num_domains: int, rng_seed: int = 0)
         quota = base + (1 if k < extra else 0)
         if quota == 0:
             continue
-        pool = sorted(int(i) for i in pools[k])
+        pool = np.sort(np.asarray(pools[k], dtype=np.int64))
         n = len(pool)
         total = n * (n - 1) // 2
         if total < quota:
@@ -198,10 +209,16 @@ def sample_intra_pairs(pools, n_pairs: int, num_domains: int, rng_seed: int = 0)
                 f"needs {quota}"
             )
         if total <= _ENUMERATION_CUTOFF:
-            all_pairs = list(combinations(pool, 2))
-            idx = rng.choice(total, size=quota, replace=False)
-            chosen = [all_pairs[i] for i in sorted(idx)]
+            # index t of combinations(pool, 2) is (pool[i], pool[j]) for the
+            # row i whose first index starts[i] is the last one <= t
+            idx = np.sort(rng.choice(total, size=quota, replace=False))
+            rows = np.arange(n)
+            starts = rows * (2 * n - rows - 1) // 2
+            i = np.searchsorted(starts, idx, side="right") - 1
+            j = idx - starts[i] + i + 1
+            chosen = zip(pool[i].tolist(), pool[j].tolist())
         else:
+            pool = pool.tolist()
             seen = set()
             chosen = []
             while len(chosen) < quota:
@@ -239,68 +256,58 @@ def mix_subgraphs(sub_a, sub_b, lam: float, num_domains: int | None = None) -> M
         )
     same_graph = da == db
     ca, cb = sub_a.center_global, sub_b.center_global
-    center_ids = {ca, cb} if same_graph else None
+    nodes_a = np.asarray(sub_a.nodes_global, dtype=np.int64)
+    nodes_b = np.asarray(sub_b.nodes_global, dtype=np.int64)
 
-    set_b = set(int(g) for g in sub_b.nodes_global)
-    shared = (
-        sorted(
-            g
-            for g in (int(x) for x in sub_a.nodes_global)
-            if g in set_b and g not in center_ids
-        )
-        if same_graph
-        else []
-    )
-    shared_set = set(shared)
-
-    features = [lam * sub_a.features[sub_a.center_local] + (1.0 - lam) * sub_b.features[sub_b.center_local]]
-    origins = [(ca, cb)]
-    map_a = {}
-    map_b = {}
+    # local ids: merged center 0, then sub_a's other nodes in order, then
+    # sub_b's nodes that are not already there. Within one source graph
+    # both centers fold into node 0 and shared nodes keep sub_a's row.
     if same_graph:
-        for g in center_ids:
-            map_a[g] = 0
-            map_b[g] = 0
+        center_a = (nodes_a == ca) | (nodes_a == cb)
+        center_b = (nodes_b == ca) | (nodes_b == cb)
+        shared_a = _members(nodes_a, nodes_b) & ~center_a
+        shared_b = _members(nodes_b, nodes_a) & ~center_b
     else:
-        map_a[ca] = 0
-        map_b[cb] = 0
+        center_a, center_b = nodes_a == ca, nodes_b == cb
+        shared_a = np.zeros(len(nodes_a), dtype=bool)
+        shared_b = np.zeros(len(nodes_b), dtype=bool)
+    own_a = ~center_a
+    new_b = ~(center_b | shared_b)
+    n_a = int(own_a.sum())
+    local_a = np.zeros(len(nodes_a), dtype=np.int64)
+    local_a[own_a] = 1 + np.arange(n_a)
+    local_b = np.zeros(len(nodes_b), dtype=np.int64)
+    local_b[shared_b] = local_a[np.searchsorted(nodes_a, nodes_b[shared_b])]
+    local_b[new_b] = 1 + n_a + np.arange(int(new_b.sum()))
+    num_nodes = 1 + n_a + int(new_b.sum())
 
-    for local, g in enumerate(int(x) for x in sub_a.nodes_global):
-        if g in map_a:
-            continue
-        map_a[g] = len(features)
-        if g in shared_set:
-            map_b[g] = map_a[g]
-            origins.append((g, g))
-        else:
-            origins.append((g, None))
-        features.append(sub_a.features[local])
-    for local, g in enumerate(int(x) for x in sub_b.nodes_global):
-        if g in map_b:
-            continue
-        map_b[g] = len(features)
-        origins.append((None, g))
-        features.append(sub_b.features[local])
-
-    edge_set = set()
-    for mapping, sub in ((map_a, sub_a), (map_b, sub_b)):
-        globals_ = sub.nodes_global
-        for u, v in sub.edges:
-            lu, lv = mapping[int(globals_[u])], mapping[int(globals_[v])]
-            if lu == lv:
-                continue
-            edge_set.add((lu, lv) if lu < lv else (lv, lu))
-    edges = (
-        np.array(sorted(edge_set), dtype=np.int64)
-        if edge_set
-        else np.empty((0, 2), dtype=np.int64)
+    center = (
+        lam * sub_a.features[sub_a.center_local]
+        + (1.0 - lam) * sub_b.features[sub_b.center_local]
     )
+    features = np.concatenate([[center], sub_a.features[own_a], sub_b.features[new_b]])
+    origins = [(ca, cb)]
+    origins += [
+        (g, g) if shared else (g, None)
+        for g, shared in zip(nodes_a[own_a].tolist(), shared_a[own_a].tolist())
+    ]
+    origins += [(None, g) for g in nodes_b[new_b].tolist()]
+
+    ends = np.concatenate(
+        [
+            local_a[np.asarray(sub_a.edges, dtype=np.int64).reshape(-1, 2)],
+            local_b[np.asarray(sub_b.edges, dtype=np.int64).reshape(-1, 2)],
+        ]
+    )
+    ends = np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1)
+    codes = np.unique(ends[:, 0] * num_nodes + ends[:, 1])
+    edges = np.column_stack([codes // num_nodes, codes % num_nodes])
 
     mix_label = np.zeros(num_domains)
     mix_label[da] += lam
     mix_label[db] += 1.0 - lam
     return MixedSubgraph(
-        features=np.array(features, dtype=np.float64),
+        features=np.asarray(features, dtype=np.float64),
         edges=edges,
         merged_center=0,
         coarse_label=0 if same_graph else 1,
@@ -308,6 +315,12 @@ def mix_subgraphs(sub_a, sub_b, lam: float, num_domains: int | None = None) -> M
         provenance=(da, int(ca), db, int(cb), float(lam)),
         node_origins=origins,
     )
+
+
+def _members(values, sorted_pool):
+    """Mask of the ``values`` that occur in the ascending array ``sorted_pool``."""
+    at = np.searchsorted(sorted_pool, values).clip(max=len(sorted_pool) - 1)
+    return sorted_pool[at] == values
 
 
 def build_batch(
@@ -320,8 +333,13 @@ def build_batch(
     lam: float = 0.5,
     lambda_alpha: float = 0.2,
     rng=None,
+    egos=None,
 ) -> MixBatch:
-    """Extract ego subgraphs for every pair and mix them (inter first)."""
+    """Extract ego subgraphs for every pair and mix them (inter first).
+
+    ``egos`` memoizes extracted egos by (domain, node); pass one dict to
+    calls that share graphs, features and hops.
+    """
     if hops < 1:
         raise ValidationError(f"hops must be >= 1, got {hops}")
     if lambda_mode not in ("fixed", "beta"):
@@ -330,10 +348,16 @@ def build_batch(
         rng = np.random.default_rng(0)
     num_domains = len(graphs)
     mats = [getattr(a, "matrix", a) for a in aligned]
+    egos = {} if egos is None else egos
+
+    def ego(domain, node):
+        if (domain, node) not in egos:
+            egos[domain, node] = extract_ego(graphs[domain], node, hops, mats[domain])
+        return egos[domain, node]
 
     def make(pair):
-        ego_a = extract_ego(graphs[pair.domain_a], pair.node_a, hops, mats[pair.domain_a])
-        ego_b = extract_ego(graphs[pair.domain_b], pair.node_b, hops, mats[pair.domain_b])
+        ego_a = ego(pair.domain_a, pair.node_a)
+        ego_b = ego(pair.domain_b, pair.node_b)
         here = lam if lambda_mode == "fixed" else float(rng.beta(lambda_alpha, lambda_alpha))
         return mix_subgraphs(ego_a, ego_b, here, num_domains=num_domains)
 
@@ -347,8 +371,9 @@ def epoch_batches(graphs, aligned, boundary_sets, config):
     """The pre-training batch builder: returns ``batch(epoch) -> MixBatch``.
 
     Inter pairs are selected from the boundary sets and mixed once, here,
-    and every epoch reuses them; intra pairs are redrawn per epoch from
-    ``config.intra_pool``. Each draw has its own sub-seed of config.seed.
+    and every epoch reuses them and their union graph; intra pairs are
+    redrawn per epoch from ``config.intra_pool``. Each draw has its own
+    sub-seed of config.seed. An ego is extracted once per run.
     """
     inter_pairs = select_pairs(
         boundary_sets,
@@ -363,6 +388,8 @@ def epoch_batches(graphs, aligned, boundary_sets, config):
     else:
         pools = [np.arange(g.num_nodes) for g in graphs]
 
+    egos = {}
+
     def mix(inter, intra, lambda_seed):
         return build_batch(
             inter,
@@ -373,9 +400,11 @@ def epoch_batches(graphs, aligned, boundary_sets, config):
             lambda_mode=config.lambda_mode,
             lambda_alpha=config.lambda_alpha,
             rng=np.random.default_rng(sub_seed(config.seed, lambda_seed)),
+            egos=egos,
         )
 
     inter = mix(inter_pairs, [], "lambda-inter").inter
+    inter_union = graph_union(inter)
 
     def batch(epoch: int) -> MixBatch:
         intra_pairs = sample_intra_pairs(
@@ -385,6 +414,6 @@ def epoch_batches(graphs, aligned, boundary_sets, config):
             rng_seed=sub_seed(config.seed, f"intra-pairs-epoch-{epoch}"),
         )
         intra = mix([], intra_pairs, f"lambda-epoch-{epoch}").intra
-        return MixBatch(inter=inter, intra=intra)
+        return MixBatch(inter=inter, intra=intra, inter_union=inter_union)
 
     return batch

@@ -11,10 +11,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .autodiff import Tensor, as_tensor, grl, parameter, spmm, stack
 from .errors import ValidationError
+from .graphs import normalized_adjacency
 from .mixing import epoch_batches
 from .optim import Adam
 from .seeding import sub_seed
@@ -67,33 +67,35 @@ def init_model(d: int, hidden: int, num_domains: int, seed: int = 0) -> ModelSta
     return ModelState(d=d, hidden=hidden, num_domains=num_domains, params=params)
 
 
-def normalized_adjacency(num_nodes: int, edges) -> sp.csr_matrix:
-    """Symmetric normalization of the adjacency with self-loops added."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    rows = np.concatenate([edges[:, 0], edges[:, 1], np.arange(num_nodes)])
-    cols = np.concatenate([edges[:, 1], edges[:, 0], np.arange(num_nodes)])
-    data = np.ones(len(rows))
-    a = sp.csr_matrix((data, (rows, cols)), shape=(num_nodes, num_nodes))
-    deg = np.asarray(a.sum(axis=1)).ravel()
-    d_inv_sqrt = 1.0 / np.sqrt(deg)
-    return a.multiply(d_inv_sqrt[:, None]).multiply(d_inv_sqrt[None, :]).tocsr()
-
-
 def _forward(rows0, rows1, x: Tensor, state: ModelState) -> Tensor:
-    """rows0 @ relu(rows1 @ X @ W1) @ W2, the encoder's one body."""
-    hidden = spmm(rows1, x @ state.params["encoder.w1"]).relu()
-    return spmm(rows0, hidden) @ state.params["encoder.w2"]
+    """rows0 @ relu(rows1 @ X @ W1) @ W2, the encoder's one body.
 
-
-def gcn_encode(sub, state: ModelState) -> Tensor:
-    """H = A_hat @ relu(A_hat @ X @ W1) @ W2 over the subgraph's nodes."""
-    x = as_tensor(sub.features)
+    ``rows1=None`` means X arrives already propagated (it is rows1 @ X).
+    """
     if x.data.shape[1] != state.d:
         raise ValidationError(
             f"feature width {x.data.shape[1]} does not match encoder input {state.d}"
         )
+    hidden = x @ state.params["encoder.w1"]
+    if rows1 is not None:
+        hidden = spmm(rows1, hidden)
+    return spmm(rows0, hidden.relu()) @ state.params["encoder.w2"]
+
+
+def gcn_encode(sub, state: ModelState) -> Tensor:
+    """H = A_hat @ relu(A_hat @ X @ W1) @ W2 over the subgraph's nodes."""
     a_hat = normalized_adjacency(sub.num_nodes, sub.edges)
-    return _forward(a_hat, a_hat, x, state)
+    return _forward(a_hat, a_hat, as_tensor(sub.features), state)
+
+
+def encode_union(union, state: ModelState, ax: Tensor | None = None) -> Tensor:
+    """Mean-pooled embedding of every block of a SubgraphUnion, one row per
+    subgraph: (P @ A_hat) @ relu(A_hat @ X @ W1) @ W2.
+
+    ``ax`` stands in for ``union.ax``; a prompt that scales feature
+    columns commutes with A_hat, so a prompted union passes A_hat @ X * p.
+    """
+    return _forward(union.pool_a, None, as_tensor(union.ax) if ax is None else ax, state)
 
 
 def _cached_a_hat(graph):
@@ -131,22 +133,23 @@ def encode_nodes(graph, features, state: ModelState, nodes) -> Tensor:
 
 
 def _restriction(graph, nodes):
-    """Sliced propagation rows for ``nodes``, memoized per node set.
+    """Sliced propagation rows for ``nodes``, memoized for the last node set.
 
-    Adaptation re-embeds the same support nodes every optimizer step, so
-    the sparse slicing is worth caching alongside the graph.
+    Adaptation re-embeds the same support nodes every optimizer step, and
+    evaluation starts from that support set, so one entry on the graph
+    covers the repeats without growing per episode.
     """
-    if getattr(graph, "_restriction_cache", None) is None:
-        graph._restriction_cache = {}
     key = nodes.tobytes()
-    if key not in graph._restriction_cache:
+    cache = getattr(graph, "_restriction_cache", None) or {}
+    if key not in cache:
         a_hat = _cached_a_hat(graph)
         rows0 = a_hat[nodes]
         s1 = np.unique(rows0.indices)  # 1-hop closure (self-loops included)
         rows1 = a_hat[s1]
         s2 = np.unique(rows1.indices)
-        graph._restriction_cache[key] = (rows0[:, s1].tocsr(), rows1[:, s2].tocsr(), s2)
-    return graph._restriction_cache[key]
+        cache = {key: (rows0[:, s1].tocsr(), rows1[:, s2].tocsr(), s2)}
+        graph._restriction_cache = cache
+    return cache[key]
 
 
 def mean_pool(node_embeddings: Tensor) -> Tensor:
@@ -156,72 +159,83 @@ def mean_pool(node_embeddings: Tensor) -> Tensor:
 
 
 def discriminate(h_graph: Tensor, state: ModelState) -> Tensor:
+    """Class probabilities of one pooled embedding, or of each row of many."""
     logits = h_graph @ state.params["disc.w"] + state.params["disc.b"]
     return logits.softmax()
 
 
+def _rows(values) -> Tensor:
+    """An (n, k) Tensor, given as one or as a list of n (k,) Tensors."""
+    if isinstance(values, Tensor):
+        return values
+    if len(values) == 0:
+        raise ValidationError("expected at least one row, got none")
+    return stack(values)
+
+
 def loss_dis(probs, coarse_labels) -> Tensor:
-    """Mean binary cross-entropy against the inter/intra label."""
-    if len(probs) != len(coarse_labels) or not probs:
+    """Mean binary cross-entropy against the inter/intra label.
+
+    ``probs`` is an (n, 2) Tensor or a list of n (2,) Tensors.
+    """
+    probs, labels = _rows(probs), np.asarray(coarse_labels)
+    if probs.data.shape[0] != len(labels):
         raise ValidationError("probs and labels must be equal-length, non-empty")
-    terms = []
-    for p, y in zip(probs, coarse_labels):
-        clamped = p.clamp(PROB_FLOOR, 1.0 - PROB_FLOOR)
-        picked = clamped[1] if y == 1 else clamped[0]
-        terms.append(picked.log())
-    return -stack(terms).mean()
+    clamped = probs.clamp(PROB_FLOOR, 1.0 - PROB_FLOOR)
+    picked = clamped[np.arange(len(labels)), (labels == 1).astype(np.int64)]
+    return -picked.log().mean()
 
 
 def gate_mask(probs) -> np.ndarray:
     """1 where the inter probability strictly exceeds 0.5; detached."""
-    return np.array([1 if p.data[1] > 0.5 else 0 for p in probs], dtype=np.int64)
+    return (_rows(probs).data[:, 1] > 0.5).astype(np.int64)
 
 
-def decompose(h_graph: Tensor, mask_bit: int, state: ModelState, beta: float = 1.0) -> Tensor:
-    gated = grl(h_graph * float(mask_bit), beta=beta)
+def decompose(h_graph: Tensor, mask, state: ModelState, beta: float = 1.0) -> Tensor:
+    """Domain probabilities through the gated reversal layer; ``mask`` (a
+    bit, or a column of bits for a matrix of embeddings) gates ``h_graph``."""
+    gated = grl(h_graph * np.asarray(mask, dtype=np.float64), beta=beta)
     logits = gated @ state.params["dec.w"] + state.params["dec.b"]
     return logits.softmax()
 
 
 def loss_fine(predictions, targets, mask) -> Tensor:
-    """Mean KL(target || prediction) over gate-active subgraphs."""
-    active = [i for i, m in enumerate(mask) if m]
-    if not active:
+    """Mean KL(target || prediction) over gate-active subgraphs.
+
+    ``predictions`` is an (n, K) Tensor or a list of n (K,) Tensors.
+    """
+    active = np.flatnonzero(np.asarray(mask))
+    if len(active) == 0:
         return as_tensor(0.0)
-    terms = []
-    constant = 0.0
-    for i in active:
-        y = np.asarray(targets[i], dtype=np.float64)
-        # 0 * log 0 = 0 on the constant side
-        constant += float(sum(v * math.log(v) for v in y if v > 0))
-        log_p = predictions[i].clamp(lo=PROB_FLOOR).log()
-        terms.append((Tensor(y) * log_p).sum())
-    return (constant - stack(terms).sum()) / float(len(active))
+    y = np.asarray(targets, dtype=np.float64)[active]
+    # 0 * log 0 = 0 on the constant side
+    constant = float(np.sum(y * np.log(np.where(y > 0, y, 1.0))))
+    log_p = _rows(predictions)[active].clamp(lo=PROB_FLOOR).log()
+    return (constant - (Tensor(y) * log_p).sum()) / float(len(active))
 
 
 def loss_pretrain(batch, state: ModelState, beta: float = 1.0):
-    """Full forward pass; returns (total loss tensor, per-part floats)."""
+    """Full forward pass; returns (total loss tensor, per-part floats).
+
+    The batch is encoded as one block-diagonal graph, and every head works
+    on the (2N, hidden) matrix of pooled embeddings at once.
+    """
     subs = batch.subgraphs
     if not subs:
         raise ValidationError("empty batch")
-    pooled = [mean_pool(gcn_encode(s, state)) for s in subs]
-    probs = [discriminate(h, state) for h in pooled]
-    labels = [s.coarse_label for s in subs]
+    pooled = encode_union(batch.union(), state)
+    probs = discriminate(pooled, state)
+    labels = np.array([s.coarse_label for s in subs])
     l_dis = loss_dis(probs, labels)
     mask = gate_mask(probs)
-    preds = [
-        decompose(h, int(m), state, beta=beta) for h, m in zip(pooled, mask)
-    ]
+    preds = decompose(pooled, mask[:, None], state, beta=beta)
     l_fine = loss_fine(preds, [s.mix_label for s in subs], mask)
     total = l_dis + l_fine
-    inter_idx = [i for i, y in enumerate(labels) if y == 1]
-    gate_fraction = (
-        float(np.mean([mask[i] for i in inter_idx])) if inter_idx else 0.0
-    )
+    inter = labels == 1
     parts = {
         "loss_dis": l_dis.item(),
-        "loss_fine": float(l_fine.item() if isinstance(l_fine, Tensor) else l_fine),
-        "gate_fraction": gate_fraction,
+        "loss_fine": l_fine.item(),
+        "gate_fraction": float(np.mean(mask[inter])) if inter.any() else 0.0,
     }
     return total, parts
 

@@ -306,3 +306,47 @@ def test_cosine_scale_invariance():
     u, v = rng.normal(size=5), rng.normal(size=5)
     for c in (0.1, 3.0, 250.0):
         assert _cosine_np(c * u, v) == pytest.approx(_cosine_np(u, v), abs=1e-9)
+
+
+def test_graph_mode_embeddings_match_per_ego_reference():
+    from domainmix.adapt import _embed_items
+    from domainmix.graphs import extract_ego
+    from domainmix.nn import gcn_encode, mean_pool
+
+    graph, feats, centers = separable_target(seed=5)
+    state = init_model(6, 8, 2, seed=5)
+    task = sample_task(graph.labels, 2, np.random.default_rng(5), mode="graph")
+    p_mix = mixed_prompt(np.array([0.7, 0.4]), centers)
+    for hops in (1, 2):
+        got = _embed_items(state, graph, feats, p_mix, task.support, "graph", hops)
+        for emb, (node, _) in zip(got, task.support):
+            ego = extract_ego(graph, node, hops, feats)
+            ego.features = ego.features * p_mix.data
+            want = mean_pool(gcn_encode(ego, state)).data
+            np.testing.assert_allclose(emb.data, want, rtol=1e-12, atol=1e-12)
+
+
+def test_graph_mode_alpha_gradient_vs_fd():
+    from domainmix.adapt import _embed_items
+
+    graph, feats, centers = separable_target(seed=6)
+    state = init_model(6, 8, 2, seed=6)
+    task = sample_task(graph.labels, 2, np.random.default_rng(6), mode="graph")
+    labels = [y for _, y in task.support]
+
+    def loss_at(alpha):
+        emb = _embed_items(
+            state, graph, feats, mixed_prompt(alpha, centers), task.support, "graph", 1
+        )
+        protos = compute_prototypes(emb, task.support, task.num_classes)
+        return loss_downstream(emb, labels, protos, 0.5)
+
+    for point in ([0.6, 0.4], [1.2, -0.3]):
+        alpha = parameter(np.array(point))
+        loss_at(alpha).backward()
+        for i in range(2):
+            up, dn = np.array(point), np.array(point)
+            up[i] += 1e-6
+            dn[i] -= 1e-6
+            fd = (loss_at(up).item() - loss_at(dn).item()) / 2e-6
+            assert alpha.grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)

@@ -240,3 +240,14 @@ def test_finished_tape_is_freed_without_cycle_collection():
     finally:
         gc.enable()
     assert after == before
+
+
+def test_constants_get_no_gradient_and_forward_allocates_none():
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.normal(size=(5, 3)))
+    w = parameter(rng.normal(size=(3, 2)))
+    out = (x @ w).relu().sum()
+    assert all(t._grad is None for t in (x, w, out))
+    out.backward()
+    np.testing.assert_array_equal(x.grad, np.zeros((5, 3)))
+    np.testing.assert_allclose(w.grad, x.data.T @ ((x.data @ w.data) > 0), atol=1e-12)

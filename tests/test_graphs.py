@@ -183,3 +183,27 @@ def test_drop_nodes_bad_fraction():
     g = build_domain_graph([(0, 1)], np.zeros((2, 1)))
     with pytest.raises(ValidationError):
         drop_nodes(g, 1.0, np.random.default_rng(0))
+
+
+def test_graph_union_matches_each_block():
+    from domainmix.graphs import graph_union, normalized_adjacency
+
+    rng = np.random.default_rng(40)
+    g = build_domain_graph(
+        [(u, v) for u in range(30) for v in range(u + 1, 30) if rng.random() < 0.1],
+        rng.normal(size=(30, 4)),
+    )
+    subs = [extract_ego(g, int(c), int(h)) for c, h in zip(rng.choice(30, 6), (0, 1, 2, 1, 2, 1))]
+    union = graph_union(subs)
+    assert union.num_graphs == len(subs)
+    start = 0
+    hidden = rng.normal(size=(union.ax.shape[0], 3))
+    for i, sub in enumerate(subs):
+        a_hat = normalized_adjacency(sub.num_nodes, sub.edges).toarray()
+        rows = slice(start, start + sub.num_nodes)
+        np.testing.assert_allclose(union.ax[rows], a_hat @ sub.features, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(
+            (union.pool_a @ hidden)[i], (a_hat @ hidden[rows]).mean(axis=0), rtol=1e-12, atol=1e-13
+        )
+        assert union.pool_a[i, :start].nnz == 0 and union.pool_a[i, rows.stop:].nnz == 0
+        start = rows.stop

@@ -382,3 +382,147 @@ def test_build_batch_beta_mode_seeded():
     for s in b1.inter:
         assert 0.0 <= s.provenance[4] <= 1.0
         assert abs(s.mix_label.sum() - 1.0) < 1e-9
+
+
+def test_select_pairs_top_matches_full_sort_with_ties():
+    rng = np.random.default_rng(31)
+    for trial in range(6):
+        # few distinct lattice rows, each repeated, so similarities tie exactly
+        mats = []
+        for _ in range(3):
+            rows = lattice(rng, (4, 5))
+            mats.append(rows[rng.integers(0, 4, size=14)])
+        ids = [sorted(rng.choice(14, size=9, replace=False).tolist()) for _ in range(3)]
+        sets = [bset(k, ids[k]) for k in range(3)]
+        for n in (1, 7, 40, 500):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = select_pairs(sets, [wrap(m, k) for k, m in enumerate(mats)], 0.1, n)
+            full = oracle_pairs(ids, [m.tolist() for m in mats], 0.1, 10**6)
+            sims = [q[0] for q in full]
+            assert len(set(sims)) < len(sims), "no ties in this instance"
+            assert [(p.similarity, p.domain_a, p.node_a, p.domain_b, p.node_b) for p in got] == [
+                tuple(q) for q in full[:n]
+            ], (trial, n)
+
+
+def combinations_reference(pools, n_pairs, num_domains, rng_seed):
+    """The enumerate-then-draw definition of sample_intra_pairs."""
+    from itertools import combinations
+
+    rng = np.random.default_rng(rng_seed)
+    base, extra = divmod(n_pairs, num_domains)
+    out = []
+    for k in range(num_domains):
+        quota = base + (1 if k < extra else 0)
+        if quota == 0:
+            continue
+        all_pairs = list(combinations(sorted(int(i) for i in pools[k]), 2))
+        idx = rng.choice(len(all_pairs), size=quota, replace=False)
+        out.extend((k, *all_pairs[i]) for i in sorted(idx))
+    return out
+
+
+def test_sample_intra_pairs_matches_combinations_reference():
+    from domainmix.mixing import _ENUMERATION_CUTOFF
+
+    rng = np.random.default_rng(32)
+    largest = int((1 + math.isqrt(1 + 8 * _ENUMERATION_CUTOFF)) // 2)
+    while largest * (largest - 1) // 2 > _ENUMERATION_CUTOFF:
+        largest -= 1
+    for size in (2, 3, 300, largest):
+        # sparse, shuffled node ids: the pool is sorted before unranking
+        pool = rng.permutation(rng.choice(10 * size, size=size, replace=False))
+        pools = [pool, pool[::-1]]
+        total = size * (size - 1) // 2
+        for n_pairs in sorted({1, 2, min(2 * total, 50)}):
+            for seed in (0, 5):
+                got = sample_intra_pairs(pools, n_pairs, 2, rng_seed=seed)
+                want = combinations_reference(pools, n_pairs, 2, seed)
+                assert [(p.domain_a, p.node_a, p.node_b) for p in got] == want
+                assert all(type(p.node_a) is int and type(p.node_b) is int for p in got)
+
+
+def mix_reference(sub_a, sub_b, lam, num_domains):
+    """Node-by-node mixing with dictionaries: (features, edges, origins)."""
+    same = sub_a.source_domain == sub_b.source_domain
+    ca, cb = sub_a.center_global, sub_b.center_global
+    ids_a, ids_b = ({int(g) for g in sub.nodes_global} for sub in (sub_a, sub_b))
+    shared = (ids_a & ids_b) - {ca, cb} if same else set()
+    feats = [lam * sub_a.features[sub_a.center_local] + (1 - lam) * sub_b.features[sub_b.center_local]]
+    origins = [(ca, cb)]
+    map_a = {ca: 0, cb: 0} if same else {ca: 0}
+    map_b = dict(map_a) if same else {cb: 0}
+    for local, g in enumerate(int(x) for x in sub_a.nodes_global):
+        if g not in map_a:
+            map_a[g] = len(feats)
+            if g in shared:
+                map_b[g] = map_a[g]
+            origins.append((g, g) if g in shared else (g, None))
+            feats.append(sub_a.features[local])
+    for local, g in enumerate(int(x) for x in sub_b.nodes_global):
+        if g not in map_b:
+            map_b[g] = len(feats)
+            origins.append((None, g))
+            feats.append(sub_b.features[local])
+    edges = set()
+    for mapping, sub in ((map_a, sub_a), (map_b, sub_b)):
+        for u, v in sub.edges:
+            lu, lv = mapping[int(sub.nodes_global[u])], mapping[int(sub.nodes_global[v])]
+            if lu != lv:
+                edges.add((min(lu, lv), max(lu, lv)))
+    return np.array(feats), sorted(edges), origins
+
+
+def test_mix_subgraphs_matches_node_by_node_reference():
+    rng = np.random.default_rng(33)
+    graphs = []
+    for k in range(2):
+        n = 25
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.12]
+        graphs.append(build_domain_graph(edges, rng.normal(size=(n, 3)), domain_id=k))
+    checked = 0
+    for _ in range(60):
+        ka, kb = int(rng.integers(2)), int(rng.integers(2))
+        hops = int(rng.integers(1, 3))
+        a = extract_ego(graphs[ka], int(rng.integers(25)), hops)
+        b = extract_ego(graphs[kb], int(rng.integers(25)), hops)
+        lam = float(rng.choice([0.0, 0.3, 0.5, 1.0]))
+        mixed = mix_subgraphs(a, b, lam, num_domains=2)
+        feats, edges, origins = mix_reference(a, b, lam, 2)
+        np.testing.assert_array_equal(mixed.features, feats)
+        assert [tuple(e) for e in mixed.edges.tolist()] == edges
+        assert mixed.edges.dtype == np.int64 and mixed.edges.shape == (len(edges), 2)
+        assert mixed.node_origins == origins
+        checked += ka == kb
+    assert checked > 10  # same-graph pairs were covered
+
+
+def test_epoch_batches_extract_each_ego_once(monkeypatch):
+    import domainmix.mixing as mixing_module
+    from domainmix.config import RunConfig
+
+    rng = np.random.default_rng(34)
+    graphs, aligned = [], []
+    for k in range(2):
+        edges = [(u, v) for u in range(20) for v in range(u + 1, 20) if rng.random() < 0.15]
+        feats = rng.normal(size=(20, 4)) + 1.0
+        graphs.append(build_domain_graph(edges, feats, domain_id=k))
+        aligned.append(wrap(feats, k))
+    sets = [bset(k, range(20)) for k in range(2)]
+    calls = []
+    real = mixing_module.extract_ego
+
+    def counting(graph, center, hops, features=None):
+        calls.append((graph.domain_id, int(center)))
+        return real(graph, center, hops, features)
+
+    monkeypatch.setattr(mixing_module, "extract_ego", counting)
+    cfg = RunConfig(seed=2, pca_dim=4, n_pairs=6, gamma=0.0, intra_pool="all").validate()
+    batch = mixing_module.epoch_batches(graphs, aligned, sets, cfg)
+    used = set()
+    for epoch in range(6):
+        for sub in batch(epoch).subgraphs:
+            da, ca, db, cb, _ = sub.provenance
+            used |= {(da, ca), (db, cb)}
+    assert sorted(calls) == sorted(used)

@@ -488,3 +488,87 @@ def test_encode_nodes_validates_ids():
         encode_nodes(g, g.features_raw, state, [])
     with pytest.raises(ValidationError):
         encode_nodes(g, g.features_raw, state, [10])
+
+
+def fd_style_batch(seed):
+    """A small real batch: boundary-top inter pairs and intra pairs of two
+    synthetic domains, mixed from 1-hop egos."""
+    from domainmix.align import align_graphs as align
+    from domainmix.mixing import build_batch, sample_intra_pairs, select_pairs
+    from domainmix.synth import SynthSpec, make_synth
+
+    spec = SynthSpec(K=2, nodes_per_domain=40, classes_per_domain=2, feature_dim=10)
+    sources, _, _ = make_synth(spec, seed)
+    aligned, centers = align(sources, 8)
+    bsets = select_boundaries(aligned, centers, 0.4)
+    inter = select_pairs(bsets, aligned, 0.0, 4, rng_seed=seed)
+    intra = sample_intra_pairs([np.arange(g.num_nodes) for g in sources], 4, 2, rng_seed=seed)
+    return build_batch(inter, intra, sources, aligned, hops=1)
+
+
+def per_subgraph_loss(batch, state, beta):
+    """The pre-training loss one subgraph at a time, with the list forms."""
+    subs = batch.subgraphs
+    pooled = [mean_pool(gcn_encode(s, state)) for s in subs]
+    probs = [discriminate(h, state) for h in pooled]
+    mask = gate_mask(probs)
+    preds = [decompose(h, int(m), state, beta=beta) for h, m in zip(pooled, mask)]
+    total = loss_dis(probs, [s.coarse_label for s in subs]) + loss_fine(
+        preds, [s.mix_label for s in subs], mask
+    )
+    return total, mask
+
+
+def test_loss_pretrain_union_matches_per_subgraph_reference():
+    for seed, beta in ((31, 1.0), (32, 0.5), (33, -1.0)):
+        batch = fd_style_batch(seed)
+        ref_state = init_model(8, 8, 2, seed=seed)
+        # centre the inter logit on this batch so about half the gates open
+        pooled = np.stack([mean_pool(gcn_encode(s, ref_state)).data for s in batch.subgraphs])
+        margin = pooled @ ref_state.params["disc.w"].data
+        ref_state.params["disc.b"].data[:] = (0.0, -np.median(margin[:, 1] - margin[:, 0]))
+        state = init_model(8, 8, 2, seed=seed)
+        state.load_data(ref_state.data_dict())
+
+        want, mask = per_subgraph_loss(batch, ref_state, beta)
+        got, parts = loss_pretrain(batch, state, beta=beta)
+        assert 0 < mask.sum() < len(mask)
+        inter = np.array([s.coarse_label for s in batch.subgraphs]) == 1
+        assert parts["gate_fraction"] == mask[inter].mean()
+        assert got.item() == pytest.approx(want.item(), abs=1e-12)
+        want.backward()
+        got.backward()
+        for name in state.params:
+            np.testing.assert_allclose(
+                state.params[name].grad, ref_state.params[name].grad,
+                rtol=1e-12, atol=1e-12, err_msg=name,
+            )
+
+
+def test_encode_union_gradient_vs_fd():
+    from domainmix.graphs import graph_union
+    from domainmix.nn import encode_union
+
+    rng = np.random.default_rng(44)
+    batch = fd_style_batch(31)
+    union = graph_union(batch.subgraphs)
+    state = init_model(8, 8, 2, seed=44)
+    prompt = parameter(rng.uniform(0.5, 1.5, size=8))
+    weights = Tensor(rng.normal(size=(union.num_graphs, 8)))
+
+    def scalar():
+        return (encode_union(union, state, Tensor(union.ax) * prompt) * weights).sum()
+
+    scalar().backward()
+    probed = dict(state.encoder_params(), prompt=prompt)
+    for name, p in probed.items():
+        flat, gflat = p.data.ravel(), p.grad.ravel()
+        for i in rng.choice(flat.size, size=min(8, flat.size), replace=False):
+            keep = flat[i]
+            flat[i] = keep + 1e-5
+            up = scalar().item()
+            flat[i] = keep - 1e-5
+            dn = scalar().item()
+            flat[i] = keep
+            fd = (up - dn) / 2e-5
+            assert abs(gflat[i] - fd) <= 1e-6 * max(1.0, abs(fd)), name
