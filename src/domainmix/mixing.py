@@ -52,7 +52,7 @@ class MixedSubgraph:
 class MixBatch:
     inter: list
     intra: list
-    # the union of ``inter``, when the builder already holds it
+    # the union of ``inter``, if already built: epoch_batches reuses one per run
     inter_union: SubgraphUnion | None = field(default=None, repr=False, compare=False)
 
     @property

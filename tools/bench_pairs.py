@@ -29,6 +29,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RUN_TIMEOUT_S = 600.0
 
 
 def export_revision(rev: str, dest: Path) -> str:
@@ -43,7 +44,7 @@ def export_revision(rev: str, dest: Path) -> str:
     return sha
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float, timeout: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run; the parsed result line plus exit status."""
     cmd = [
         sys.executable, "bench/run.py", "--workload", workload,
@@ -51,9 +52,11 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float, timeout: floa
     ]
     start = time.perf_counter()
     try:
-        proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=timeout)
+        proc = subprocess.run(
+            cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S
+        )
     except subprocess.TimeoutExpired:
-        return {"ok": False, "error": f"timed out after {timeout:.0f}s"}
+        return {"ok": False, "error": f"timed out after {RUN_TIMEOUT_S:.0f}s"}
     out = {"wall_s": time.perf_counter() - start, "exit_code": proc.returncode}
     lines = proc.stdout.strip().splitlines()
     try:
@@ -120,20 +123,15 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
-    parser.add_argument("--workloads", default=None, help="comma list; default: all")
-    parser.add_argument("--seconds", type=float, default=None, help="default: run_seconds")
-    parser.add_argument("--timeout", type=float, default=600.0, help="per run, in seconds")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be >= 1")
+    seeds = [int(s) for s in args.seeds.split(",")]
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = [w["name"] for w in bench["workloads"]]
-    workloads = args.workloads.split(",") if args.workloads else names
-    unknown = sorted(set(workloads) - set(names))
-    if unknown or args.pairs < 1:
-        parser.error(f"unknown workloads {unknown}" if unknown else "--pairs must be >= 1")
-    seeds = [int(s) for s in args.seeds.split(",")]
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     head = subprocess.run(
         ["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
@@ -165,7 +163,7 @@ def main(argv=None) -> int:
                 seed = seeds[pair % len(seeds)]
                 order = ("base", "change") if pair % 2 == 0 else ("change", "base")
                 for position, side in enumerate(order):
-                    r = run_once(trees[side], workload, seed, seconds, args.timeout)
+                    r = run_once(trees[side], workload, seed, seconds)
                     r.update(pair=pair, seed=seed, side=side, position=position)
                     runs.append(r)
                     shown = r.get("metrics", {}).get("pretrain_s")
