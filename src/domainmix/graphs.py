@@ -266,16 +266,6 @@ def graph_union(subs) -> SubgraphUnion:
     return SubgraphUnion(ax=a_hat @ x, pool_a=(pool @ a_hat).tocsr())
 
 
-def join_unions(unions) -> SubgraphUnion:
-    """The union of unions: their blocks, in order."""
-    if len(unions) == 1:
-        return unions[0]
-    return SubgraphUnion(
-        ax=np.concatenate([u.ax for u in unions]),
-        pool_a=sp.block_diag([u.pool_a for u in unions], format="csr"),
-    )
-
-
 def drop_nodes(graph: DomainGraph, fraction: float, rng) -> tuple[DomainGraph, np.ndarray]:
     """Remove a uniform random ``fraction`` of nodes; keep the induced graph.
 

@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoMixablePairsError, ValidationError
-from .graphs import SubgraphUnion, extract_ego, graph_union, join_unions
+from .graphs import extract_ego
 from .seeding import sub_seed
 
 
@@ -52,23 +52,10 @@ class MixedSubgraph:
 class MixBatch:
     inter: list
     intra: list
-    # the union of ``inter``, if already built: epoch_batches reuses one per run
-    inter_union: SubgraphUnion | None = field(default=None, repr=False, compare=False)
 
     @property
     def subgraphs(self) -> list:
         return self.inter + self.intra
-
-    def union(self) -> SubgraphUnion:
-        """``subgraphs`` as one block-diagonal graph, inter blocks first."""
-        halves = []
-        if self.inter:
-            halves.append(self.inter_union or graph_union(self.inter))
-        if self.intra:
-            halves.append(graph_union(self.intra))
-        if not halves:
-            raise ValidationError("empty batch")
-        return join_unions(halves)
 
 
 def cosine_sim(x, y) -> float:
@@ -371,9 +358,9 @@ def epoch_batches(graphs, aligned, boundary_sets, config):
     """The pre-training batch builder: returns ``batch(epoch) -> MixBatch``.
 
     Inter pairs are selected from the boundary sets and mixed once, here,
-    and every epoch reuses them and their union graph; intra pairs are
-    redrawn per epoch from ``config.intra_pool``. Each draw has its own
-    sub-seed of config.seed. An ego is extracted once per run.
+    and every epoch reuses them; intra pairs are redrawn per epoch from
+    ``config.intra_pool``. Each draw has its own sub-seed of config.seed.
+    An ego is extracted once per run.
     """
     inter_pairs = select_pairs(
         boundary_sets,
@@ -404,7 +391,6 @@ def epoch_batches(graphs, aligned, boundary_sets, config):
         )
 
     inter = mix(inter_pairs, [], "lambda-inter").inter
-    inter_union = graph_union(inter)
 
     def batch(epoch: int) -> MixBatch:
         intra_pairs = sample_intra_pairs(
@@ -414,6 +400,6 @@ def epoch_batches(graphs, aligned, boundary_sets, config):
             rng_seed=sub_seed(config.seed, f"intra-pairs-epoch-{epoch}"),
         )
         intra = mix([], intra_pairs, f"lambda-epoch-{epoch}").intra
-        return MixBatch(inter=inter, intra=intra, inter_union=inter_union)
+        return MixBatch(inter=inter, intra=intra)
 
     return batch

@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import Tensor, as_tensor, grl, parameter, spmm, stack
 from .errors import ValidationError
-from .graphs import normalized_adjacency
+from .graphs import graph_union, normalized_adjacency
 from .mixing import epoch_batches
 from .optim import Adam
 from .seeding import sub_seed
@@ -223,7 +223,7 @@ def loss_pretrain(batch, state: ModelState, beta: float = 1.0):
     subs = batch.subgraphs
     if not subs:
         raise ValidationError("empty batch")
-    pooled = encode_union(batch.union(), state)
+    pooled = encode_union(graph_union(subs), state)
     probs = discriminate(pooled, state)
     labels = np.array([s.coarse_label for s in subs])
     l_dis = loss_dis(probs, labels)

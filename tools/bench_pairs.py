@@ -7,10 +7,10 @@ Run from the repository root. The base revision is exported with
 ``BENCHMARK.json``, each pair runs ``bench/run.py --trace 0`` once on the
 base and once on the working tree, one after the other, and the side that
 goes first alternates from pair to pair, since a shared machine drifts in
-speed over minutes. Pair ``i`` uses seed ``seeds[i % len(seeds)]`` on both
-sides. The JSON written to ``--out`` holds every run's end-to-end metrics,
-each side's median and quartiles per metric, and the fraction of pairs in
-which the working tree did better.
+speed over minutes. Pair ``i`` uses seed ``SEEDS[i % 10]`` on both sides.
+The JSON written to ``--out`` holds every run's end-to-end metrics, each
+side's median and quartiles per metric, and the fraction of pairs in which
+the working tree did better.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 600.0
+SEEDS = range(10)
 
 
 def export_revision(rev: str, dest: Path) -> str:
@@ -122,12 +123,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seeds", default="0,1,2,3,4,5,6,7,8,9")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
-    seeds = [int(s) for s in args.seeds.split(",")]
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = [w["name"] for w in bench["workloads"]]
@@ -160,7 +159,7 @@ def main(argv=None) -> int:
         for workload in workloads:
             runs = []
             for pair in range(args.pairs):
-                seed = seeds[pair % len(seeds)]
+                seed = SEEDS[pair % len(SEEDS)]
                 order = ("base", "change") if pair % 2 == 0 else ("change", "base")
                 for position, side in enumerate(order):
                     r = run_once(trees[side], workload, seed, seconds)
