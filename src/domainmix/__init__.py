@@ -8,7 +8,7 @@ of the accompanying stability analysis. ``run_pipeline`` strings the
 stages together; everything is also usable piecemeal.
 """
 
-from .adapt import FewShotTask, adapt, evaluate, sample_task
+from .adapt import FewShotTask, adapt, adapt_episodes, evaluate, sample_task
 from .align import AlignedFeatures, DomainCenter, align_graphs, domain_center, pca_project
 from .boundary import BoundarySet, select_boundaries
 from .config import RunConfig, load_config, save_config
@@ -60,6 +60,7 @@ __all__ = [
     "SynthSpec",
     "ValidationError",
     "adapt",
+    "adapt_episodes",
     "align_graphs",
     "ambiguity_probe",
     "build_batch",

@@ -1,10 +1,16 @@
 """Frozen-encoder few-shot adaptation through a learnable prompt.
 
 The only trainable parameters are K scalars alpha weighting the source
-domain centers into a prompt vector p = sum_i alpha_i c_i; target features
+domain centers into a prompt vector p = sum_k alpha_k c_k; target features
 are modulated rowwise by p before entering the frozen encoder. Class
 prototypes are support-embedding means and classification is nearest
 prototype under temperature-scaled cosine similarity.
+
+Since p scales feature columns and the encoder is frozen, the first layer
+is linear in alpha: (A_hat X * p) W1 = sum_k alpha_k Y_k with the fixed
+projections Y_k = (A_hat X * c_k) W1. ``adapt_episodes`` trains every
+episode's alpha at once on them: episodes share no term and Adam is
+elementwise, so each episode follows the path it would follow alone.
 """
 
 from __future__ import annotations
@@ -12,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
-from .autodiff import Tensor, as_tensor, dot, parameter, stack
+from .autodiff import Tensor, as_tensor, einsum, parameter, spmm, stack
 from .errors import EncoderMutatedError, ValidationError
 from .graphs import extract_ego, graph_union
-from .nn import PROB_FLOOR, encode_nodes, encode_union
+from .nn import PROB_FLOOR, _cached_a_hat, _restriction, encode_nodes, encode_union
 from .optim import Adam
 
 # keeps cosine well-defined on (vanishingly unlikely) zero embeddings
@@ -64,11 +71,15 @@ def sample_task(
     )
 
 
+def _array(value, field: str) -> np.ndarray:
+    """``value.<field>`` of an AlignedFeatures or DomainCenter, or a plain
+    array as given, as float64."""
+    return np.asarray(getattr(value, field, value), dtype=np.float64)
+
+
 def mixed_prompt(alpha, centers) -> Tensor:
     """p = sum_i alpha_i c_i; alpha may be a Tensor or plain array."""
-    mat = np.stack(
-        [np.asarray(getattr(c, "vector", c), dtype=np.float64) for c in centers]
-    )
+    mat = np.stack([_array(c, "vector") for c in centers])
     alpha = as_tensor(alpha)
     if alpha.data.shape != (mat.shape[0],):
         raise ValidationError(
@@ -88,124 +99,220 @@ def apply_prompt(features, p_mix) -> Tensor:
     return x * p
 
 
-def _item_encoder(state, graph, aligned_matrix, items, mode, hops):
-    """``encode(p_mix) -> (embedding matrix, each item's row in it)`` for
-    (node, label) items, with the prompt-independent work done here, once.
-
-    Node mode embeds the distinct nodes with one encode_nodes call; graph
-    mode pools each item's prompted ego from the union of the egos.
-    """
-    if mode == "node":
-        wanted = sorted({int(node) for node, _ in items})
-        row_of = {node: i for i, node in enumerate(wanted)}
-        rows = [row_of[int(node)] for node, _ in items]
-        nodes = np.array(wanted)
-
-        def encode(p_mix):
-            x = apply_prompt(aligned_matrix, p_mix)
-            return encode_nodes(graph, x, state, nodes), rows
-
-        return encode
-    union = graph_union([extract_ego(graph, int(node), hops, aligned_matrix) for node, _ in items])
-    rows = list(range(len(items)))
-    return lambda p_mix: (encode_union(union, state, apply_prompt(union.ax, p_mix)), rows)
-
-
 def _embed_items(state, graph, aligned_matrix, p_mix, items, mode, hops):
-    """One embedding Tensor per (node, label) item."""
-    h, rows = _item_encoder(state, graph, aligned_matrix, items, mode, hops)(p_mix)
-    return [h[r] for r in rows]
+    """One embedding Tensor per (node, label) item under the prompt p_mix:
+    node rows of the encoded target graph, or pooled prompted egos."""
+    if mode == "node":
+        nodes = np.array([int(node) for node, _ in items])
+        h = encode_nodes(graph, apply_prompt(aligned_matrix, p_mix), state, nodes)
+    else:
+        union = graph_union([extract_ego(graph, int(node), hops, aligned_matrix) for node, _ in items])
+        h = encode_union(union, state, apply_prompt(union.ax, p_mix))
+    return [h[i] for i in range(len(items))]
+
+
+def _group_means(groups, num_groups: int):
+    """``means(emb)``, whose row g is the mean of the rows i of the Tensor
+    ``emb`` with groups[i] == g."""
+    groups = np.asarray(groups, dtype=np.int64)
+    members = sp.csr_matrix(
+        (np.ones(len(groups)), (groups, np.arange(len(groups)))),
+        shape=(num_groups, len(groups)),
+    )
+    counts = np.bincount(groups, minlength=num_groups).astype(np.float64)[:, None]
+    return lambda emb: spmm(members, emb) / counts
+
+
+def _checked_labels(items, num_classes: int) -> list:
+    """The items' labels, after checking that each is a class and each
+    class has an item."""
+    labels = [label for _, label in items]
+    for label in labels:
+        if not 0 <= label < num_classes:
+            raise ValidationError(f"label {label} out of range")
+    missing = sorted(set(range(num_classes)) - set(labels))
+    if missing:
+        raise ValidationError(f"class {missing[0]} has no support items")
+    return labels
 
 
 def compute_prototypes(embeddings, items, num_classes: int):
     """Per-class mean of support embeddings."""
-    by_class = {c: [] for c in range(num_classes)}
-    for emb, (_, label) in zip(embeddings, items):
-        if label not in by_class:
-            raise ValidationError(f"label {label} out of range")
-        by_class[label].append(emb)
-    protos = []
-    for c in range(num_classes):
-        if not by_class[c]:
-            raise ValidationError(f"class {c} has no support items")
-        protos.append(stack(by_class[c]).mean(axis=0))
-    return protos
+    labels = _checked_labels(items, num_classes)
+    means = _group_means(labels, num_classes)(stack(list(embeddings)))
+    return [means[c] for c in range(num_classes)]
 
 
-def _cosine(u: Tensor, v: Tensor) -> Tensor:
-    nu = (dot(u, u) + _NORM_EPS).sqrt()
-    nv = (dot(v, v) + _NORM_EPS).sqrt()
-    return dot(u, v) / (nu * nv)
+def _log_likelihoods(emb: Tensor, protos: Tensor, choices, labels, tau: float) -> Tensor:
+    """ln of the clamped softmax(cos / tau) of each embedding row at its
+    label, where row i competes over the prototypes protos[choices[i]]."""
+
+    def norms(t):
+        return ((t * t).sum(axis=1) + _NORM_EPS).sqrt()
+
+    dots = einsum("sh,sch->sc", emb, protos[choices])
+    cos = dots / einsum("s,sc->sc", norms(emb), norms(protos)[choices])
+    probs = (cos / tau).softmax().clamp(lo=PROB_FLOOR)
+    return probs[np.arange(len(labels)), np.asarray(labels, dtype=np.int64)].log()
 
 
 def loss_downstream(embeddings, labels, prototypes, tau: float) -> Tensor:
     """Prototype cross-entropy: -sum ln softmax(sim/tau)[label]."""
     if tau <= 0:
         raise ValidationError(f"tau must be > 0, got {tau}")
-    terms = []
-    for emb, label in zip(embeddings, labels):
-        sims = stack([_cosine(emb, p) for p in prototypes])
-        probs = (sims / tau).softmax().clamp(lo=PROB_FLOOR)
-        terms.append(probs[int(label)].log())
-    return -stack(terms).sum()
+    emb, protos = stack(list(embeddings)), stack(list(prototypes))
+    choices = np.tile(np.arange(len(prototypes)), (len(labels), 1))
+    return -_log_likelihoods(emb, protos, choices, labels, tau).sum()
+
+
+class _Episodes:
+    """Few-shot tasks on one frozen encoder, with the prompt folded into
+    the projections Y_k = (A_hat X * c_k) W1.
+
+    A_hat X is propagated once: over the target graph for node tasks, and
+    over the union of each graph task's support and query egos, so each
+    ego is extracted once. Items embed as rows0 @ relu(sum_k alpha_k
+    Y_k[cols]) @ W2, with rows0 their second-propagation (node) or pooling
+    (graph) rows over ``cols``.
+    """
+
+    def __init__(self, state, target, target_aligned, centers, tasks, config):
+        if not tasks:
+            raise ValidationError("no few-shot tasks given")
+        for task in tasks:
+            if task.num_classes != tasks[0].num_classes:
+                raise ValidationError("all tasks must have the same number of classes")
+            _checked_labels(task.support, task.num_classes)
+        self.target, self.tasks, self.config = target, tasks, config
+        matrix = _array(target_aligned, "matrix")
+        pieces, self._pools, self._node_offset = [], {}, None
+        for r, task in enumerate(tasks):
+            offset = sum(len(p) for p in pieces)
+            if task.mode != "node":
+                items = task.support + task.query
+                union = graph_union([extract_ego(target, int(n), config.hops, matrix) for n, _ in items])
+                self._pools[r] = (union.pool_a, offset)
+                pieces.append(union.ax)
+            elif self._node_offset is None:
+                self._node_offset = offset
+                pieces.append(_cached_a_hat(target) @ matrix)
+        self.ax = np.concatenate(pieces)
+        self.centers = np.stack([_array(c, "vector") for c in centers])
+        self.w1 = state.params["encoder.w1"].data
+        self.w2 = Tensor(state.params["encoder.w2"].data)
+
+    def _layout(self, parts):
+        """All that embedding ``parts`` needs besides alpha, where part i,
+        ``(r, count)``, is the first ``count`` items (support, then query)
+        of task r under alpha row i: each row's part, Y and rows0."""
+        blocks = []
+        for r, count in parts:
+            task = self.tasks[r]
+            if task.mode == "node":
+                nodes = np.array([int(n) for n, _ in (task.support + task.query)[:count]])
+                rows0, cols = _restriction(self.target, nodes)
+                blocks.append((rows0, cols + self._node_offset))
+            else:
+                pool_a, offset = self._pools[r]
+                cols = np.unique(pool_a[:count].indices)
+                blocks.append((pool_a[:count][:, cols], cols + offset))
+        owner = np.repeat(np.arange(len(blocks)), [len(cols) for _, cols in blocks])
+        cols = np.concatenate([cols for _, cols in blocks])
+        y = (self.ax[cols][None, :, :] * self.centers[:, None, :]) @ self.w1
+        return owner, Tensor(y), sp.block_diag([rows0 for rows0, _ in blocks], format="csr")
+
+    def _embed(self, alpha: Tensor, layout) -> Tensor:
+        owner, y, rows0 = layout
+        return spmm(rows0, einsum("mk,kmh->mh", alpha[owner], y).relu()) @ self.w2
+
+    def support_objective(self):
+        """``(log_likelihoods, episode)``: log_likelihoods(alpha) is the
+        Tensor of every task's support items' log-likelihoods, item i under
+        row episode[i] of the (R, K) alpha."""
+        tasks, num_classes = self.tasks, self.tasks[0].num_classes
+        layout = self._layout([(r, len(t.support)) for r, t in enumerate(tasks)])
+        labels = np.array([y for t in tasks for _, y in t.support], dtype=np.int64)
+        episode = np.repeat(np.arange(len(tasks)), [len(t.support) for t in tasks])
+        class_means = _group_means(episode * num_classes + labels, len(tasks) * num_classes)
+        choices = episode[:, None] * num_classes + np.arange(num_classes)
+
+        def log_likelihoods(alpha: Tensor) -> Tensor:
+            emb = self._embed(alpha, layout)
+            return _log_likelihoods(emb, class_means(emb), choices, labels, self.config.tau)
+
+        return log_likelihoods, episode
+
+    def fit(self):
+        """Adam on the (R, K) alpha against the sum of the support losses;
+        returns (alphas, per-episode loss histories)."""
+        cfg, num_episodes = self.config, len(self.tasks)
+        log_likelihoods, episode = self.support_objective()
+        alpha = parameter(np.full((num_episodes, len(self.centers)), 1.0 / len(self.centers)))
+        opt = Adam(
+            {"alpha": alpha},
+            lr=cfg.lr_down,
+            weight_decay=cfg.weight_decay,
+            beta1=cfg.beta1,
+            beta2=cfg.beta2,
+            eps=cfg.adam_eps,
+        )
+        history = np.empty((cfg.steps_adapt, num_episodes))
+        for step in range(cfg.steps_adapt):
+            log_lik = log_likelihoods(alpha)
+            loss = -log_lik.sum()
+            opt.zero_grad()
+            loss.backward()
+            opt.step()
+            history[step] = -np.bincount(episode, weights=log_lik.data, minlength=num_episodes)
+        return alpha.data.copy(), history.T.tolist()
+
+    def accuracies(self, alphas) -> list:
+        """Nearest-prototype query accuracy of each task under its alpha."""
+        out = []
+        for r, task in enumerate(self.tasks):
+            if not task.query:
+                out.append(0.0)
+                continue
+            n_support = len(task.support)
+            layout = self._layout([(r, n_support + len(task.query))])
+            emb = self._embed(Tensor(alphas[r : r + 1]), layout).data
+            labels = [y for _, y in task.support]
+            protos = _group_means(labels, task.num_classes)(Tensor(emb[:n_support])).data
+            predicted = np.argmax(_cosine_np(emb[n_support:], protos), axis=1)
+            correct = np.count_nonzero(predicted == np.array([y for _, y in task.query]))
+            out.append(correct / len(task.query))
+        return out
+
+
+def adapt_episodes(state, target, target_aligned, centers, tasks, config):
+    """Optimize each task's alpha on its support loss, all tasks at once;
+    the encoder stays frozen. Returns (alphas as an (R, K) array, each
+    episode's loss history, each episode's query accuracy)."""
+    episodes = _Episodes(state, target, target_aligned, centers, tasks, config)
+    frozen = {name: t.data.copy() for name, t in state.params.items()}
+    alphas, histories = episodes.fit()
+    for name, before in frozen.items():
+        if not np.array_equal(before, state.params[name].data):
+            raise EncoderMutatedError(f"encoder parameter {name} changed during adaptation")
+    return alphas, histories, episodes.accuracies(alphas)
 
 
 def adapt(state, target, target_aligned, centers, task: FewShotTask, config):
     """Optimize alpha on the support loss; the encoder stays frozen."""
-    num_domains = len(centers)
-    alpha = parameter(np.full(num_domains, 1.0 / num_domains))
-    opt = Adam(
-        {"alpha": alpha},
-        lr=config.lr_down,
-        weight_decay=config.weight_decay,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.adam_eps,
-    )
-    frozen = {name: t.data.copy() for name, t in state.params.items()}
-    matrix = getattr(target_aligned, "matrix", target_aligned)
-    encode = _item_encoder(state, target, matrix, task.support, task.mode, config.hops)
-    history = []
-    for _ in range(config.steps_adapt):
-        h, rows = encode(mixed_prompt(alpha, centers))
-        support_emb = [h[r] for r in rows]
-        protos = compute_prototypes(support_emb, task.support, task.num_classes)
-        loss = loss_downstream(
-            support_emb, [y for _, y in task.support], protos, config.tau
-        )
-        opt.zero_grad()
-        loss.backward()
-        opt.step()
-        history.append(loss.item())
-    for name, before in frozen.items():
-        if not np.array_equal(before, state.params[name].data):
-            raise EncoderMutatedError(f"encoder parameter {name} changed during adaptation")
-    return alpha.data.copy(), history
+    alphas, histories, _ = adapt_episodes(state, target, target_aligned, centers, [task], config)
+    return alphas[0], histories[0]
 
 
 def evaluate(state, alpha, target, target_aligned, centers, task: FewShotTask, config) -> float:
     """Nearest-prototype accuracy over the query set."""
-    if not task.query:
-        return 0.0
-    matrix = getattr(target_aligned, "matrix", target_aligned)
-    p_mix = mixed_prompt(alpha, centers)
-
-    def embed(items):
-        h, rows = _item_encoder(state, target, matrix, items, task.mode, config.hops)(p_mix)
-        return h.data[rows]
-
-    support = embed(task.support)
-    labels = np.array([y for _, y in task.support])
-    proto_vecs = [support[labels == c].mean(axis=0) for c in range(task.num_classes)]
-    correct = 0
-    for emb, (_, label) in zip(embed(task.query), task.query):
-        sims = [_cosine_np(emb, vec) for vec in proto_vecs]
-        if int(np.argmax(sims)) == label:
-            correct += 1
-    return correct / len(task.query)
+    episodes = _Episodes(state, target, target_aligned, centers, [task], config)
+    return episodes.accuracies(np.asarray(alpha, dtype=np.float64)[None])[0]
 
 
-def _cosine_np(u, v) -> float:
-    nu = np.sqrt(float(u @ u) + _NORM_EPS)
-    nv = np.sqrt(float(v @ v) + _NORM_EPS)
-    return float(u @ v) / (nu * nv)
+def _cosine_np(u, v):
+    """Cosine of two vectors, or the matrix of cosines between the rows of
+    two matrices."""
+    u, v = np.asarray(u), np.asarray(v)
+    nu = np.sqrt((u * u).sum(axis=-1) + _NORM_EPS)
+    nv = np.sqrt((v * v).sum(axis=-1) + _NORM_EPS)
+    return (u @ v.T) / np.multiply.outer(nu, nv)

@@ -1,8 +1,8 @@
 """Small reverse-mode autodiff over float64 numpy arrays.
 
 Covers exactly the operations the models need: broadcast arithmetic,
-matmul, sparse-dense matmul, relu, log, sqrt, clamp, softmax, reductions,
-indexing, stacking, and a gradient-reversal wrapper. Every tensor tracks
+matmul, two-operand einsum, sparse-dense matmul, relu, log, sqrt, clamp,
+softmax, reductions, indexing, stacking, and a gradient-reversal wrapper. Every tensor tracks
 its parents; backward() walks the graph once in reverse topological order,
 handing each op its output's gradient. No backward closure refers to its
 own output, so a finished tape holds no reference cycle and is freed as
@@ -283,5 +283,32 @@ def grl(t: Tensor, beta: float = 1.0) -> Tensor:
     return Tensor(t.data, parents=(t,), backward=back)
 
 
-def dot(u: Tensor, v: Tensor) -> Tensor:
-    return (u * v).sum()
+def einsum(spec: str, a, b) -> Tensor:
+    """Two-operand ``np.einsum(spec, a, b)`` with an explicit output.
+
+    Each operand's gradient is the einsum of the output gradient with the
+    other operand, which holds when no subscript repeats within a term and
+    every index of an operand also appears in the other one or the output.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    terms, arrow, out = spec.replace(" ", "").partition("->")
+    operands = terms.split(",")
+    if (
+        not arrow
+        or len(operands) != 2
+        or len(set(out)) != len(out)
+        or any(
+            len(set(own)) != len(own) or not set(own) <= set(other + out)
+            for own, other in (operands, operands[::-1])
+        )
+    ):
+        raise ValidationError(f"unsupported einsum spec {spec!r}")
+    sa, sb = operands
+
+    def back(g):
+        if not a._constant:
+            a._accumulate(np.einsum(f"{out},{sb}->{sa}", g, b.data))
+        if not b._constant:
+            b._accumulate(np.einsum(f"{out},{sa}->{sb}", g, a.data))
+
+    return Tensor(np.einsum(spec, a.data, b.data), parents=(a, b), backward=back)

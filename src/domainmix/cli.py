@@ -17,15 +17,15 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .adapt import adapt, evaluate, sample_task
-from .align import align_graphs, pca_project
+from .adapt import adapt_episodes, sample_task
+from .align import align_graphs
 from .config import RunConfig, load_config, save_config
 from .diagnostics import compute_diagnostics
 from .errors import DomainmixError, ValidationError
 from .io import load_checkpoint, save_checkpoint, write_matrix
 from .mixing import epoch_batches
 from .nn import init_model, pretrain
-from .pipeline import episode_metrics, prepare, redundancy_experiment
+from .pipeline import episode_metrics, prepare, project_target, redundancy_experiment
 from .seeding import sub_seed
 from .synth import SynthSpec, gen_synth, load_synth_dir
 
@@ -204,13 +204,7 @@ def _target_setup(args, cfg):
         raise ValidationError(f"data directory {args.data} has no target domain")
     _, centers, _ = prepare(sources, cfg)
     state = _load_model(args, cfg, len(sources))
-    target_aligned = pca_project(
-        target.features_raw,
-        cfg.pca_dim,
-        domain_id=target.domain_id,
-        scale=cfg.scale_features,
-    )
-    return state, target, target_aligned, centers
+    return state, target, project_target(target, cfg), centers
 
 
 def cmd_adapt(args) -> int:
@@ -218,13 +212,14 @@ def cmd_adapt(args) -> int:
     state, target, target_aligned, centers = _target_setup(args, cfg)
     rng = np.random.default_rng(sub_seed(cfg.seed, "episode-0"))
     task = sample_task(target.labels, cfg.shots, rng, mode=cfg.mode)
-    alpha, history = adapt(state, target, target_aligned, centers, task, cfg)
-    acc = evaluate(state, alpha, target, target_aligned, centers, task, cfg)
+    alphas, histories, accuracies = adapt_episodes(
+        state, target, target_aligned, centers, [task], cfg
+    )
     payload = {
-        "alpha": [float(a) for a in alpha],
-        "loss_first": history[0],
-        "loss_last": history[-1],
-        "accuracy": acc,
+        "alpha": [float(a) for a in alphas[0]],
+        "loss_first": histories[0][0],
+        "loss_last": histories[0][-1],
+        "accuracy": accuracies[0],
     }
     text = _dump_json(payload)
     if args.out:

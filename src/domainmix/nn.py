@@ -128,26 +128,23 @@ def encode_nodes(graph, features, state: ModelState, nodes) -> Tensor:
             f"node ids must be in [0, {graph.num_nodes}), got "
             f"[{nodes.min()}, {nodes.max()}]"
         )
-    rows0, rows1, s2 = _restriction(graph, nodes)
-    return _forward(rows0, rows1, as_tensor(features)[s2], state)
+    rows0, s1 = _restriction(graph, nodes)
+    rows1 = _cached_a_hat(graph)[s1]
+    s2 = np.unique(rows1.indices)  # 2-hop closure
+    return _forward(rows0, rows1[:, s2].tocsr(), as_tensor(features)[s2], state)
 
 
 def _restriction(graph, nodes):
-    """Sliced propagation rows for ``nodes``, memoized for the last node set.
-
-    Adaptation re-embeds the same support nodes every optimizer step, and
-    evaluation starts from that support set, so one entry on the graph
-    covers the repeats without growing per episode.
+    """``(A_hat[nodes][:, s1], s1)`` with s1 the 1-hop closure of ``nodes``
+    (self-loops included), memoized for the last node set only, so the
+    cache on the graph does not grow with the node sets it is asked for.
     """
     key = nodes.tobytes()
     cache = getattr(graph, "_restriction_cache", None) or {}
     if key not in cache:
-        a_hat = _cached_a_hat(graph)
-        rows0 = a_hat[nodes]
-        s1 = np.unique(rows0.indices)  # 1-hop closure (self-loops included)
-        rows1 = a_hat[s1]
-        s2 = np.unique(rows1.indices)
-        cache = {key: (rows0[:, s1].tocsr(), rows1[:, s2].tocsr(), s2)}
+        rows0 = _cached_a_hat(graph)[nodes]
+        s1 = np.unique(rows0.indices)
+        cache = {key: (rows0[:, s1].tocsr(), s1)}
         graph._restriction_cache = cache
     return cache[key]
 

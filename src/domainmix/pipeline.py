@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapt import adapt, evaluate, sample_task
+from .adapt import adapt_episodes, sample_task
 from .align import align_graphs, pca_project
 from .boundary import select_boundaries
 from .errors import ValidationError
@@ -44,29 +44,43 @@ def prepare(sources, config):
     return aligned, centers, boundary_sets
 
 
+def project_target(target, config):
+    """The target's features projected by its own PCA at the run's width."""
+    return pca_project(
+        target.features_raw,
+        config.pca_dim,
+        domain_id=target.domain_id,
+        scale=config.scale_features,
+    )
+
+
 def episode_metrics(state, target, target_aligned, centers, config):
     """Run config.repeats few-shot episodes; one metrics row per episode."""
     if target.labels is None:
         raise ValidationError("target graph has no labels to evaluate against")
-    metrics, alphas = [], []
-    for rep in range(config.repeats):
-        rng = np.random.default_rng(sub_seed(config.seed, f"episode-{rep}"))
-        task = sample_task(target.labels, config.shots, rng, mode=config.mode)
-        alpha, _ = adapt(state, target, target_aligned, centers, task, config)
-        acc = evaluate(
-            state, alpha, target, target_aligned, centers, task, config
+    tasks = [
+        sample_task(
+            target.labels,
+            config.shots,
+            np.random.default_rng(sub_seed(config.seed, f"episode-{rep}")),
+            mode=config.mode,
         )
-        metrics.append(
-            {
-                "target": int(target.domain_id),
-                "shots": int(config.shots),
-                "mode": config.mode,
-                "seed": int(config.seed),
-                "accuracy": acc,
-            }
-        )
-        alphas.append(alpha)
-    return metrics, alphas
+        for rep in range(config.repeats)
+    ]
+    alphas, _, accuracies = adapt_episodes(
+        state, target, target_aligned, centers, tasks, config
+    )
+    metrics = [
+        {
+            "target": int(target.domain_id),
+            "shots": int(config.shots),
+            "mode": config.mode,
+            "seed": int(config.seed),
+            "accuracy": acc,
+        }
+        for acc in accuracies
+    ]
+    return metrics, list(alphas)
 
 
 def run_pipeline(sources, target, config) -> PipelineResult:
@@ -75,12 +89,7 @@ def run_pipeline(sources, target, config) -> PipelineResult:
         raise ValidationError(f"need at least 2 source graphs, got {len(sources)}")
     aligned, centers, boundary_sets = prepare(sources, config)
     state, history = pretrain(sources, aligned, boundary_sets, config)
-    target_aligned = pca_project(
-        target.features_raw,
-        config.pca_dim,
-        domain_id=target.domain_id,
-        scale=config.scale_features,
-    )
+    target_aligned = project_target(target, config)
     metrics, alphas = episode_metrics(
         state, target, target_aligned, centers, config
     )

@@ -350,3 +350,120 @@ def test_graph_mode_alpha_gradient_vs_fd():
             dn[i] -= 1e-6
             fd = (loss_at(up).item() - loss_at(dn).item()) / 2e-6
             assert alpha.grad[i] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def reference_episode(state, graph, feats, centers, task, cfg):
+    """One episode the scalar way: its own alpha and Adam, the prompt
+    applied to the features, then evaluation query by query."""
+    from domainmix.adapt import _embed_items
+
+    def embed(p_mix, items):
+        return _embed_items(state, graph, feats, p_mix, items, task.mode, cfg.hops)
+
+    alpha = parameter(np.full(len(centers), 1.0 / len(centers)))
+    opt = Adam(
+        {"alpha": alpha}, lr=cfg.lr_down, weight_decay=cfg.weight_decay,
+        beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps,
+    )
+    labels = [y for _, y in task.support]
+    history = []
+    for _ in range(cfg.steps_adapt):
+        emb = embed(mixed_prompt(alpha, centers), task.support)
+        protos = compute_prototypes(emb, task.support, task.num_classes)
+        loss = loss_downstream(emb, labels, protos, cfg.tau)
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        history.append(loss.item())
+    p_mix = mixed_prompt(alpha.data, centers)
+    support = [e.data for e in embed(p_mix, task.support)]
+    protos = [
+        np.mean([e for e, y in zip(support, labels) if y == c], axis=0)
+        for c in range(task.num_classes)
+    ]
+    correct = 0
+    for q, (_, y) in zip(embed(p_mix, task.query), task.query):
+        correct += int(np.argmax([_cosine_np(q.data, pr) for pr in protos])) == y
+    return alpha.data.copy(), history, correct / len(task.query)
+
+
+def episode_tasks(graph, shots, mode, count, seed=0):
+    return [
+        sample_task(graph.labels, shots, np.random.default_rng(seed + r), mode=mode, query_limit=15)
+        for r in range(count)
+    ]
+
+
+@pytest.mark.parametrize("mode", ["node", "graph"])
+@pytest.mark.parametrize("hops", [1, 2])
+@pytest.mark.parametrize("shots", [1, 5])
+def test_adapt_episodes_matches_per_episode_reference(mode, hops, shots):
+    from domainmix.adapt import adapt_episodes
+
+    graph, feats, centers = separable_target(seed=hops + shots)
+    state = init_model(6, 8, 2, seed=hops)
+    cfg = adapt_config(mode=mode, hops=hops, shots=shots, steps_adapt=15, lr_down=2e-2, tau=0.5)
+    for tasks in (episode_tasks(graph, shots, mode, 3), episode_tasks(graph, shots, mode, 1, seed=9)):
+        alphas, histories, accuracies = adapt_episodes(state, graph, feats, centers, tasks, cfg)
+        assert alphas.shape == (len(tasks), 2)
+        for r, task in enumerate(tasks):
+            alpha, history, acc = reference_episode(state, graph, feats, centers, task, cfg)
+            np.testing.assert_allclose(alphas[r], alpha, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(histories[r], history, rtol=0, atol=1e-10)
+            assert accuracies[r] == acc
+            assert evaluate(state, alphas[r], graph, feats, centers, task, cfg) == acc
+
+
+def test_adapt_episodes_alpha_does_not_depend_on_other_tasks():
+    from domainmix.adapt import adapt_episodes
+
+    graph, feats, centers = separable_target(seed=4)
+    state = init_model(6, 8, 2, seed=4)
+    for mode in ("node", "graph"):
+        cfg = adapt_config(mode=mode, shots=2, steps_adapt=10, lr_down=2e-2)
+        tasks = episode_tasks(graph, 2, mode, 4, seed=20)
+        order = [2, 0, 3, 1]
+        together, _, accs = adapt_episodes(state, graph, feats, centers, [tasks[i] for i in order], cfg)
+        for position, i in enumerate(order):
+            alone, _, acc = adapt_episodes(state, graph, feats, centers, [tasks[i]], cfg)
+            np.testing.assert_array_equal(together[position], alone[0])
+            assert accs[position] == acc[0]
+
+
+def test_batched_support_loss_alpha_gradient_vs_fd():
+    from domainmix.adapt import _Episodes
+
+    graph, feats, centers = separable_target(seed=7)
+    state = init_model(6, 8, 2, seed=7)
+    rng = np.random.default_rng(7)
+    for mode in ("node", "graph"):
+        cfg = adapt_config(mode=mode, shots=2, tau=0.5)
+        tasks = episode_tasks(graph, 2, mode, 3, seed=30)
+        log_likelihoods, episode = _Episodes(state, graph, feats, centers, tasks, cfg).support_objective()
+        assert list(episode) == [r for r, t in enumerate(tasks) for _ in t.support]
+        point = rng.uniform(-0.5, 1.5, size=(3, 2))
+        alpha = parameter(point.copy())
+        (-log_likelihoods(alpha).sum()).backward()
+        for idx in np.ndindex(point.shape):
+            up, dn = point.copy(), point.copy()
+            up[idx] += 1e-6
+            dn[idx] -= 1e-6
+            fd = (log_likelihoods(Tensor(dn)).data.sum() - log_likelihoods(Tensor(up)).data.sum()) / 2e-6
+            assert alpha.grad[idx] == pytest.approx(fd, rel=1e-5, abs=1e-8)
+
+
+def test_adapt_episodes_raises_typed_error_when_encoder_changes(monkeypatch):
+    from domainmix.adapt import adapt_episodes
+
+    graph, feats, centers = separable_target()
+    state = init_model(6, 8, 2, seed=4)
+
+    class LeakyAdam(Adam):
+        def step(self):
+            super().step()
+            state.params["encoder.w2"].data *= 1.0 + 1e-9
+
+    monkeypatch.setattr(importlib.import_module("domainmix.adapt"), "Adam", LeakyAdam)
+    tasks = episode_tasks(graph, 1, "node", 3)
+    with pytest.raises(EncoderMutatedError, match="encoder.w2"):
+        adapt_episodes(state, graph, feats, centers, tasks, adapt_config(steps_adapt=2))

@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from domainmix.autodiff import Tensor, dot, grl, parameter, spmm, stack
+from domainmix.autodiff import Tensor, grl, parameter, spmm, stack
 from domainmix.errors import ValidationError
+
+
+def dot(u, v):
+    return (u * v).sum()
 
 
 def fd_grad(build_loss, x0, eps=1e-6):
@@ -251,3 +255,33 @@ def test_constants_get_no_gradient_and_forward_allocates_none():
     out.backward()
     np.testing.assert_array_equal(x.grad, np.zeros((5, 3)))
     np.testing.assert_allclose(w.grad, x.data.T @ ((x.data @ w.data) > 0), atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec, shape_a, shape_b",
+    [
+        ("ij,jk->ik", (3, 4), (4, 2)),
+        ("mk,kmh->mh", (5, 3), (3, 5, 4)),
+        ("sh,sch->sc", (4, 6), (4, 3, 6)),
+        ("s,sc->sc", (4,), (4, 3)),
+        ("i,j->ij", (3,), (2,)),
+    ],
+)
+def test_einsum_matches_numpy_and_fd(spec, shape_a, shape_b):
+    from domainmix.autodiff import einsum
+
+    rng = np.random.default_rng(len(spec))
+    a0, b0 = rng.normal(size=shape_a), rng.normal(size=shape_b)
+    out = einsum(spec, a0, b0)
+    np.testing.assert_array_equal(out.data, np.einsum(spec, a0, b0))
+    weights = rng.normal(size=out.data.shape)
+    check_against_fd(lambda a: (einsum(spec, a, Tensor(b0)) * Tensor(weights)).sum(), a0)
+    check_against_fd(lambda b: (einsum(spec, Tensor(a0), b) * Tensor(weights)).sum(), b0)
+
+
+def test_einsum_rejects_specs_without_a_plain_gradient():
+    from domainmix.autodiff import einsum
+
+    for spec in ("ii,i->i", "ij,j->j", "ij,jk", "ij,jk,kl->il", "i,i->ii"):
+        with pytest.raises(ValidationError):
+            einsum(spec, np.ones((2, 2)), np.ones(2))

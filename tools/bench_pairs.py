@@ -10,7 +10,12 @@ goes first alternates from pair to pair, since a shared machine drifts in
 speed over minutes. Pair ``i`` uses seed ``SEEDS[i % 10]`` on both sides.
 The JSON written to ``--out`` holds every run's end-to-end metrics, each
 side's median and quartiles per metric, and the fraction of pairs in which
-the working tree did better.
+the working tree did better. Two more fields per metric show whether a
+difference can be told from noise: ``spread_exceeds_bound`` is true when
+the base's quartile spread is wider than the metric's bound times the
+base median (a worse median is then "unresolved" rather than "unchanged"),
+and ``all_change_better`` is true when every working-tree run beats every
+base run (which settles the metric even then).
 """
 
 from __future__ import annotations
@@ -106,6 +111,7 @@ def summarize(runs: list, metrics: list) -> dict:
             continue
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         b, c = quartiles(base), quartiles(change)
+        base_iqr = b["q3"] - b["q1"]
         out[name] = {
             "better": m["better"],
             "pairs": len(pairs),
@@ -114,7 +120,9 @@ def summarize(runs: list, metrics: list) -> dict:
             "change_wins": wins,
             "win_fraction": wins / len(pairs),
             "median_ratio": c["median"] / b["median"] if b["median"] else None,
-            "base_iqr": b["q3"] - b["q1"],
+            "base_iqr": base_iqr,
+            "spread_exceeds_bound": base_iqr > m["bound"] * b["median"],
+            "all_change_better": max(change) < min(base) if lower else min(change) > max(base),
         }
     return out
 
@@ -185,7 +193,10 @@ def main(argv=None) -> int:
                 print(
                     f"{workload:16s} {name:15s} base {s['base']['median']:.3f} "
                     f"change {s['change']['median']:.3f} wins {s['change_wins']}/{s['pairs']} "
-                    f"(base IQR {s['base_iqr']:.3f})"
+                    f"(base IQR {s['base_iqr']:.3f}"
+                    + (", wider than the bound" if s["spread_exceeds_bound"] else "")
+                    + (", every change run better" if s["all_change_better"] else "")
+                    + ")"
                 )
     return 0
 
