@@ -2,13 +2,14 @@
 
 Covers exactly the operations the models need: broadcast arithmetic,
 matmul, two-operand einsum, sparse-dense matmul, relu, log, sqrt, clamp,
-softmax, reductions, indexing, stacking, and a gradient-reversal wrapper. Every tensor tracks
-its parents; backward() walks the graph once in reverse topological order,
-handing each op its output's gradient. No backward closure refers to its
-own output, so a finished tape holds no reference cycle and is freed as
-soon as the loss is dropped. A gradient buffer is allocated only when a
-gradient first arrives (or is read), so forward-only work allocates none,
-and constants (leaves that are not trainable) receive no gradient.
+softmax, reductions, indexing, stacking, and a gradient-reversal wrapper.
+Every tensor tracks its parents; backward() walks the graph once in
+reverse topological order, handing each op its output's gradient. No
+backward closure refers to its own output, so a finished tape holds no
+reference cycle and is freed as soon as the loss is dropped. A gradient
+buffer is allocated only when a gradient first arrives (or is read), so
+forward-only work allocates none, and constants (leaves that are not
+trainable) receive no gradient.
 """
 
 from __future__ import annotations
