@@ -16,6 +16,7 @@ elementwise, so each episode follows the path it would follow alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,10 +56,12 @@ def sample_task(
             raise ValidationError(
                 f"class {c} has {len(members)} nodes, needs at least {shots + 1}"
             )
-        picked = rng.choice(members, size=shots, replace=False)
-        chosen = set(int(i) for i in picked)
-        support.extend((int(i), c) for i in sorted(chosen))
-        query.extend((int(i), c) for i in members if int(i) not in chosen)
+        picked = np.sort(rng.choice(members, size=shots, replace=False))
+        # members is sorted, so each pick's position is a binary search
+        in_query = np.ones(len(members), dtype=bool)
+        in_query[np.searchsorted(members, picked)] = False
+        support.extend(zip(picked.tolist(), repeat(c)))
+        query.extend(zip(members[in_query].tolist(), repeat(c)))
     if query_limit is not None and len(query) > query_limit:
         idx = rng.choice(len(query), size=query_limit, replace=False)
         query = [query[i] for i in sorted(idx)]

@@ -8,21 +8,24 @@ mixing-stability inequality, and the domain-ambiguity probe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
 from .boundary import center_distances
 from .errors import ConvergenceError, ValidationError
-from .graphs import EgoSubgraph, extract_ego
+from .graphs import EgoSubgraph, extract_ego, graph_union
 from .mixing import mix_subgraphs
-from .nn import ModelState, gcn_encode, init_model, mean_pool, normalized_adjacency
+from .nn import ModelState, encode_union, init_model
 from .optim import Adam
 from .seeding import sub_seed
 
 POWER_TOL = 1e-8
 POWER_MAX_STEPS = 10_000
+# full-batch Adam steps of the domain probe; 50 and 100 leave the probe
+# unable to tell apart even well-separated domains
+PROBE_EPOCHS = 200
 
 
 def spectral_norm(mat, tol: float = POWER_TOL, max_steps: int = POWER_MAX_STEPS) -> float:
@@ -65,17 +68,20 @@ def lipschitz_upper(
     tol: float = POWER_TOL,
     max_steps: int = POWER_MAX_STEPS,
 ) -> float:
-    """sigma_max(W1) * sigma_max(W2) * max over subgraphs of ||A_hat||_2^2."""
-    subgraphs = list(subgraphs)
-    if not subgraphs:
+    """sigma_max(W1) * sigma_max(W2) * max over subgraphs of ||A_hat||_2^2.
+
+    The adjacency term is 1 for every subgraph, so only the weights are
+    power-iterated. A_hat = D^-1/2 (A+I) D^-1/2 is symmetric and similar
+    to the row-stochastic D^-1 (A+I), so its eigenvalues lie in [-1, 1]
+    and its spectral norm is at most 1; D^1/2 1 is an eigenvector with
+    eigenvalue 1, so the norm is exactly 1. The subgraphs are still
+    required: the bound is stated over them.
+    """
+    if not list(subgraphs):
         raise ValidationError("need at least one subgraph for the adjacency term")
     s1 = spectral_norm(state.params["encoder.w1"].data, tol, max_steps)
     s2 = spectral_norm(state.params["encoder.w2"].data, tol, max_steps)
-    a_max = max(
-        spectral_norm(normalized_adjacency(s.num_nodes, s.edges), tol, max_steps)
-        for s in subgraphs
-    )
-    return s1 * s2 * a_max**2
+    return s1 * s2
 
 
 def overlap_ratio(ids_a, ids_b) -> float:
@@ -146,10 +152,6 @@ def boundary_mass(boundary_sets, graphs):
     return ratios, min(ratios.values())
 
 
-def _embed(sub, state: ModelState) -> np.ndarray:
-    return mean_pool(gcn_encode(sub, state)).data
-
-
 @dataclass
 class StabilityResult:
     violations: int
@@ -211,26 +213,19 @@ def stability_check(
     if lipschitz is None:
         sample = [p[0] for p in pairs] + [p[1] for p in pairs] + mixes
         lipschitz = lipschitz_upper(state, sample)
-    margins = []
-    violations = 0
+    emb_a = encode_union(graph_union([p[0] for p in pairs]), state).data
+    emb_mix = encode_union(graph_union(mixes), state).data
+    lhs = np.linalg.norm(emb_mix - emb_a, axis=1)
+    rhs = []
     for (sub_a, sub_b, lam), mixed in zip(pairs, mixes):
-        lhs = float(np.linalg.norm(_embed(mixed, state) - _embed(sub_a, state)))
-        diff = (
-            sub_b.features[sub_b.center_local]
-            - sub_a.features[sub_a.center_local]
-        )
-        feat_term = (1.0 - lam) * lipschitz * float(np.linalg.norm(diff))
+        diff = sub_b.features[sub_b.center_local] - sub_a.features[sub_a.center_local]
         new_nodes = sum(1 for ga, _ in mixed.node_origins if ga is None)
         edges_a, edges_b = _local_edge_sets(mixed, sub_a, sub_b)
-        new_edges = len(edges_b - edges_a)
-        rhs = feat_term + lipschitz * (new_nodes + new_edges)
-        margin = rhs - lhs
-        margins.append(margin)
-        if lhs > rhs + tol:
-            violations += 1
+        rhs.append((1.0 - lam) * float(np.linalg.norm(diff)) + new_nodes + len(edges_b - edges_a))
+    rhs = lipschitz * np.array(rhs)
     return StabilityResult(
-        violations=violations,
-        margins=np.array(margins),
+        violations=int(np.count_nonzero(lhs > rhs + tol)),
+        margins=rhs - lhs,
         lipschitz_bound=lipschitz,
     )
 
@@ -244,10 +239,14 @@ class ProbeReport:
         return {"accuracy": dict(self.accuracy), "loss": dict(self.loss)}
 
 
-def _probe_loss(sub, label, state: ModelState):
-    h = mean_pool(gcn_encode(sub, state))
-    probs = (h @ state.params["dec.w"] + state.params["dec.b"]).softmax()
-    return -probs.clamp(1e-12, 1.0)[label].log(), probs
+def probe_loss(union, labels, state: ModelState):
+    """Mean clamped cross-entropy of the domain head over every block of a
+    SubgraphUnion, with the (blocks x domains) probabilities."""
+    labels = np.asarray(labels, dtype=np.int64)
+    logits = encode_union(union, state) @ state.params["dec.w"] + state.params["dec.b"]
+    probs = logits.softmax()
+    picked = probs.clamp(1e-12, 1.0)[np.arange(len(labels)), labels]
+    return -picked.log().mean(), probs
 
 
 def ambiguity_probe(
@@ -259,13 +258,15 @@ def ambiguity_probe(
     seed: int | None = None,
 ) -> ProbeReport:
     """Train a fresh domain classifier on center-nearest egos, evaluate on
-    held-out center, random, and boundary egos."""
+    held-out center, random, and boundary egos.
+
+    Training takes PROBE_EPOCHS Adam steps, each on the mean loss over all
+    training egos at once; each pool is scored in one forward.
+    """
     if seed is None:
         seed = config.seed
-    num_domains = len(graphs)
     hops = config.hops
-    train_items = []
-    eval_pools = {"center": [], "random": [], "boundary": []}
+    pools = {name: ([], []) for name in ("train", "center", "random", "boundary")}
     for k, (graph, feats) in enumerate(zip(graphs, aligned)):
         n = graph.num_nodes
         dist_own = center_distances(feats, centers).matrix[:, k]
@@ -276,50 +277,40 @@ def ambiguity_probe(
         half = len(shuffled) // 2
         train_ids = shuffled[:half]
         heldout = shuffled[half:]
-        train_set = set(int(i) for i in train_ids)
-        candidates = np.array([i for i in range(n) if i not in train_set])
+        candidates = np.setdiff1d(np.arange(n), train_ids)
         rand_ids = rng.choice(candidates, size=min(len(heldout), len(candidates)), replace=False)
-        for node in train_ids:
-            train_items.append((extract_ego(graph, int(node), hops, feats), k))
-        for node in heldout:
-            eval_pools["center"].append((extract_ego(graph, int(node), hops, feats), k))
-        for node in rand_ids:
-            eval_pools["random"].append((extract_ego(graph, int(node), hops, feats), k))
-        for node in boundary_sets[k].node_ids:
-            eval_pools["boundary"].append((extract_ego(graph, int(node), hops, feats), k))
+        picks = {"train": train_ids, "center": heldout, "random": rand_ids,
+                 "boundary": boundary_sets[k].node_ids}
+        for name, nodes in picks.items():
+            subs, labels = pools[name]
+            subs.extend(extract_ego(graph, int(node), hops, feats) for node in nodes)
+            labels.extend([k] * len(nodes))
 
-    probe = init_model(aligned[0].d, config.hidden, num_domains, seed=sub_seed(seed, "probe-init"))
-    trainable = {
-        name: t
-        for name, t in probe.params.items()
-        if name.startswith("encoder.") or name.startswith("dec.")
-    }
+    probe = init_model(aligned[0].d, config.hidden, len(graphs), seed=sub_seed(seed, "probe-init"))
     opt = Adam(
-        trainable,
+        {name: t for name, t in probe.params.items() if not name.startswith("disc.")},
         lr=config.lr_pre,
         weight_decay=config.weight_decay,
         beta1=config.beta1,
         beta2=config.beta2,
         eps=config.adam_eps,
     )
-    order_rng = np.random.default_rng(sub_seed(seed, "probe-epochs"))
-    for _ in range(50):
-        for idx in order_rng.permutation(len(train_items)):
-            sub, label = train_items[idx]
-            loss, _ = _probe_loss(sub, label, probe)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
+    train_subs, train_labels = pools.pop("train")
+    train_union = graph_union(train_subs)
+    for _ in range(PROBE_EPOCHS):
+        loss, _ = probe_loss(train_union, train_labels, probe)
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
 
     accuracy, loss_out = {}, {}
-    for name, items in eval_pools.items():
-        hits, losses = [], []
-        for sub, label in items:
-            ce, probs = _probe_loss(sub, label, probe)
-            losses.append(float(ce.data))
-            hits.append(1.0 if int(np.argmax(probs.data)) == label else 0.0)
-        accuracy[name] = float(np.mean(hits)) if hits else float("nan")
-        loss_out[name] = float(np.mean(losses)) if losses else float("nan")
+    for name, (subs, labels) in pools.items():
+        if not subs:
+            accuracy[name] = loss_out[name] = float("nan")
+            continue
+        ce, probs = probe_loss(graph_union(subs), labels, probe)
+        accuracy[name] = float(np.mean(np.argmax(probs.data, axis=1) == labels))
+        loss_out[name] = ce.item()
     return ProbeReport(accuracy=accuracy, loss=loss_out)
 
 

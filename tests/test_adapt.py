@@ -179,6 +179,31 @@ def test_sample_task_protocol():
     assert len(capped.query) == 5
 
 
+def _sample_task_loop(labels, shots, rng, query_limit=None):
+    """The support/query draw one node at a time, with a set of picks."""
+    support, query = [], []
+    for c in sorted(int(c) for c in np.unique(labels)):
+        members = np.flatnonzero(labels == c)
+        chosen = set(int(i) for i in rng.choice(members, size=shots, replace=False))
+        support.extend((int(i), c) for i in sorted(chosen))
+        query.extend((int(i), c) for i in members if int(i) not in chosen)
+    if query_limit is not None and len(query) > query_limit:
+        idx = rng.choice(len(query), size=query_limit, replace=False)
+        query = [query[i] for i in sorted(idx)]
+    return support, query
+
+
+def test_sample_task_matches_per_node_loop():
+    for seed in range(40):
+        labels = np.random.default_rng(seed).integers(0, 4, size=60)
+        for shots in (1, 5):
+            for limit in (None, 10, 1000):
+                task = sample_task(labels, shots, np.random.default_rng(seed), query_limit=limit)
+                want = _sample_task_loop(labels, shots, np.random.default_rng(seed), limit)
+                assert (task.support, task.query) == want
+                assert all(type(i) is int and type(c) is int for i, c in task.support + task.query)
+
+
 def test_sample_task_insufficient_class():
     labels = np.array([0, 0, 1])
     with pytest.raises(ValidationError):

@@ -10,7 +10,9 @@ from domainmix.align import AlignedFeatures, align_graphs, domain_center
 from domainmix.boundary import BoundarySet, select_boundaries
 from domainmix.config import RunConfig
 from domainmix.diagnostics import (
+    PROBE_EPOCHS,
     DiagnosticsReport,
+    _local_edge_sets,
     ambiguity_probe,
     boundary_mass,
     compute_diagnostics,
@@ -18,14 +20,17 @@ from domainmix.diagnostics import (
     lipschitz_upper,
     max_overlap,
     overlap_ratio,
+    probe_loss,
     sampling_term,
     sigma_dep,
     spectral_norm,
     stability_check,
 )
 from domainmix.errors import ConvergenceError, ValidationError
-from domainmix.graphs import build_domain_graph, extract_ego
-from domainmix.nn import ModelState, init_model
+from domainmix.graphs import build_domain_graph, extract_ego, graph_union
+from domainmix.mixing import mix_subgraphs
+from domainmix.nn import ModelState, gcn_encode, init_model, mean_pool
+from domainmix.optim import Adam
 from domainmix.autodiff import parameter
 from domainmix.synth import SynthSpec, make_synth
 
@@ -115,6 +120,48 @@ def test_lipschitz_adjacency_norm_at_most_one():
 def test_lipschitz_requires_subgraphs():
     with pytest.raises(ValidationError):
         lipschitz_upper(_one_node_state(2), [])
+
+
+def _dense_a_hat(n, edges):
+    a = np.eye(n)
+    for u, v in edges:
+        a[u, v] = a[v, u] = 1.0
+    d = 1.0 / np.sqrt(a.sum(axis=1))
+    return d[:, None] * a * d[None, :]
+
+
+def _svd_graphs():
+    rng = np.random.default_rng(21)
+    graphs = [
+        (1, []),  # a single node
+        (6, [(0, 1), (1, 2)]),  # three isolated nodes
+        (7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6)]),  # two components
+        (2, [(0, 1)]),  # a single edge
+    ]
+    for n in (5, 12, 30):
+        upper = np.triu(rng.random((n, n)) < 0.2, k=1)
+        graphs.append((n, [tuple(e) for e in np.argwhere(upper)]))
+    sources, _, _ = make_synth(SynthSpec(nodes_per_domain=40), 0)
+    for c in rng.choice(40, 4, replace=False):
+        ego = extract_ego(sources[0], int(c), 2, sources[0].features_raw)
+        graphs.append((ego.num_nodes, [tuple(e) for e in ego.edges]))
+    return graphs
+
+
+def test_lipschitz_adjacency_term_matches_svd():
+    # the bound is sigma(W1) * sigma(W2) * max ||A_hat||^2 with the
+    # adjacency norms taken by full SVD of an independently built A_hat
+    rng = np.random.default_rng(5)
+    w1, w2 = rng.normal(size=(4, 6)), rng.normal(size=(6, 6))
+    state = ModelState(d=4, hidden=6, num_domains=2, params={
+        "encoder.w1": parameter(w1), "encoder.w2": parameter(w2)})
+    s1 = np.linalg.svd(w1, compute_uv=False)[0]
+    s2 = np.linalg.svd(w2, compute_uv=False)[0]
+    for n, edges in _svd_graphs():
+        a_norm = np.linalg.svd(_dense_a_hat(n, edges), compute_uv=False)[0]
+        assert abs(a_norm - 1.0) < 1e-12
+        sub = _BareSub(n, edges, np.zeros((n, 4)))
+        assert lipschitz_upper(state, [sub]) == pytest.approx(s1 * s2 * a_norm**2, rel=1e-7)
 
 
 # ---------------------------------------------------------------- overlap
@@ -356,6 +403,56 @@ def test_stability_empty_error():
         stability_check(init_model(3, 2, 2, seed=0), [])
 
 
+def _stability_margins_per_pair(state, pairs, lipschitz):
+    """Margins and violations with one gcn_encode per subgraph."""
+    margins = []
+    for sub_a, sub_b, lam in pairs:
+        k = max(sub_a.source_domain, sub_b.source_domain) + 1
+        mixed = mix_subgraphs(sub_a, sub_b, lam, num_domains=k)
+        f_mix = mean_pool(gcn_encode(mixed, state)).data
+        f_a = mean_pool(gcn_encode(sub_a, state)).data
+        lhs = float(np.linalg.norm(f_mix - f_a))
+        diff = sub_b.features[sub_b.center_local] - sub_a.features[sub_a.center_local]
+        new_nodes = sum(1 for ga, _ in mixed.node_origins if ga is None)
+        edges_a, edges_b = _local_edge_sets(mixed, sub_a, sub_b)
+        rhs = (1.0 - lam) * lipschitz * float(np.linalg.norm(diff)) + lipschitz * (
+            new_nodes + len(edges_b - edges_a)
+        )
+        margins.append(rhs - lhs)
+    margins = np.array(margins)
+    return margins, int(np.sum(margins < -1e-6))
+
+
+def test_stability_union_matches_per_pair_reference():
+    sources, scaled = _scaled_egos(6)
+    state = init_model(6, 8, 3, seed=7)
+    rng = np.random.default_rng(17)
+    cross, same = [], []
+    for _ in range(12):
+        ka, kb = rng.choice(3, 2, replace=False)
+        cross.append((
+            extract_ego(sources[ka], int(rng.integers(50)), 1, scaled[ka]),
+            extract_ego(sources[kb], int(rng.integers(50)), 1, scaled[kb]),
+            float(rng.choice([0.0, 0.3, 0.5, 1.0])),
+        ))
+    g = sources[1]
+    for ca, cb in rng.choice(50, size=(12, 2)):
+        if ca == cb:
+            continue
+        same.append((
+            extract_ego(g, int(ca), 1, scaled[1]),
+            extract_ego(g, int(cb), 1, scaled[1]),
+            float(rng.choice([0.0, 0.5, 1.0])),
+        ))
+    # a small bound, so that some pairs violate it
+    for pairs, lipschitz in ((cross, None), (same, None), (cross + same, 0.05)):
+        res = stability_check(state, pairs, lipschitz=lipschitz)
+        want, violations = _stability_margins_per_pair(state, pairs, res.lipschitz_bound)
+        np.testing.assert_allclose(res.margins, want, rtol=0, atol=1e-12)
+        assert res.violations == violations
+    assert res.violations > 0
+
+
 # ---------------------------------------------------------------- probe
 
 def _probe_setup(seed, **spec_kw):
@@ -397,6 +494,79 @@ def test_probe_boundary_harder_than_center():
     rep = ambiguity_probe(sources, raw, centers, bsets, cfg)
     assert rep.accuracy["boundary"] <= rep.accuracy["center"]
     assert rep.loss["boundary"] >= rep.loss["center"]
+
+
+def _probe_items(seed=0, per_domain=4):
+    sources, _, _ = make_synth(SynthSpec(nodes_per_domain=40), seed)
+    aligned, _ = align_graphs(sources, 6)
+    rng = np.random.default_rng(seed)
+    return [
+        (extract_ego(g, int(c), 1, a), k)
+        for k, (g, a) in enumerate(zip(sources, aligned))
+        for c in rng.choice(g.num_nodes, per_domain, replace=False)
+    ]
+
+
+def _probe_loss_per_ego(items, state):
+    losses = []
+    for sub, label in items:
+        h = mean_pool(gcn_encode(sub, state))
+        probs = (h @ state.params["dec.w"] + state.params["dec.b"]).softmax()
+        losses.append(-np.log(np.clip(probs.data[label], 1e-12, 1.0)))
+    return float(np.mean(losses))
+
+
+def test_probe_loss_matches_per_ego_reference():
+    for seed in (0, 1):
+        items = _probe_items(seed)
+        state = init_model(6, 5, 3, seed=seed)
+        union = graph_union([sub for sub, _ in items])
+        labels = np.array([k for _, k in items])
+        loss, probs = probe_loss(union, labels, state)
+        assert probs.data.shape == (len(items), 3)
+        assert abs(loss.item() - _probe_loss_per_ego(items, state)) < 1e-12
+
+
+def test_probe_loss_gradient_vs_fd():
+    items = _probe_items(2)
+    state = init_model(6, 5, 3, seed=2)
+    union = graph_union([sub for sub, _ in items])
+    labels = np.array([k for _, k in items])
+    loss, _ = probe_loss(union, labels, state)
+    loss.backward()
+    eps = 1e-6
+    for name in ("encoder.w1", "dec.w"):
+        param = state.params[name]
+        numeric = np.zeros_like(param.data)
+        for idx in np.ndindex(param.data.shape):
+            keep = param.data[idx]
+            param.data[idx] = keep + eps
+            up = probe_loss(union, labels, state)[0].item()
+            param.data[idx] = keep - eps
+            dn = probe_loss(union, labels, state)[0].item()
+            param.data[idx] = keep
+            numeric[idx] = (up - dn) / (2.0 * eps)
+        np.testing.assert_allclose(param.grad, numeric, rtol=1e-6, atol=1e-8, err_msg=name)
+
+
+def test_probe_takes_one_step_per_epoch(monkeypatch):
+    steps = []
+    real_step = Adam.step
+
+    def counting_step(self):
+        steps.append(1)
+        real_step(self)
+
+    monkeypatch.setattr(Adam, "step", counting_step)
+    for nodes in (40, 90):
+        # the training set is a tenth of each domain's nodes, halved
+        spec = SynthSpec(nodes_per_domain=nodes)
+        sources, _, _ = make_synth(spec, 0)
+        aligned, centers = align_graphs(sources, 6)
+        bsets = select_boundaries(aligned, centers, 0.3)
+        steps.clear()
+        ambiguity_probe(sources, aligned, centers, bsets, RunConfig(seed=0, pca_dim=6, hidden=8))
+        assert len(steps) == PROBE_EPOCHS
 
 
 # ---------------------------------------------------------------- report
