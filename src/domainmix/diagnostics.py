@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .boundary import center_distances
 from .errors import ConvergenceError, ValidationError
@@ -34,11 +33,9 @@ def spectral_norm(mat, tol: float = POWER_TOL, max_steps: int = POWER_MAX_STEPS)
     Deterministic seeded start vector; raises ConvergenceError if the
     estimate has not stabilized after max_steps iterations.
     """
-    is_sparse = sp.issparse(mat)
-    if not is_sparse:
-        mat = np.asarray(mat, dtype=np.float64)
-        if mat.ndim != 2:
-            raise ValidationError(f"need a 2-d matrix, got shape {mat.shape}")
+    mat = np.asarray(mat, dtype=np.float64)
+    if mat.ndim != 2:
+        raise ValidationError(f"need a 2-d matrix, got shape {mat.shape}")
     n_cols = mat.shape[1]
     rng = np.random.default_rng(sub_seed(0, "power-iteration-start"))
     v = rng.normal(size=n_cols)
