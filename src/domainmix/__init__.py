@@ -24,7 +24,6 @@ from .diagnostics import (
     stability_check,
 )
 from .errors import (
-    ConvergenceError,
     DomainmixError,
     EncoderMutatedError,
     NoMixablePairsError,
@@ -42,7 +41,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlignedFeatures",
     "BoundarySet",
-    "ConvergenceError",
     "DiagnosticsReport",
     "DomainCenter",
     "DomainGraph",

@@ -21,10 +21,11 @@ from itertools import repeat
 import numpy as np
 import scipy.sparse as sp
 
+from .align import as_array
 from .autodiff import Tensor, as_tensor, einsum, parameter, spmm, stack
 from .errors import EncoderMutatedError, ValidationError
 from .graphs import extract_ego, graph_union
-from .nn import PROB_FLOOR, _cached_a_hat, _restriction, encode_nodes, encode_union
+from .nn import PROB_FLOOR, _restriction, encode_nodes, encode_union
 from .optim import Adam
 
 # keeps cosine well-defined on (vanishingly unlikely) zero embeddings
@@ -74,15 +75,9 @@ def sample_task(
     )
 
 
-def _array(value, field: str) -> np.ndarray:
-    """``value.<field>`` of an AlignedFeatures or DomainCenter, or a plain
-    array as given, as float64."""
-    return np.asarray(getattr(value, field, value), dtype=np.float64)
-
-
 def mixed_prompt(alpha, centers) -> Tensor:
     """p = sum_i alpha_i c_i; alpha may be a Tensor or plain array."""
-    mat = np.stack([_array(c, "vector") for c in centers])
+    mat = np.stack([as_array(c, "vector") for c in centers])
     alpha = as_tensor(alpha)
     if alpha.data.shape != (mat.shape[0],):
         raise ValidationError(
@@ -187,7 +182,7 @@ class _Episodes:
                 raise ValidationError("all tasks must have the same number of classes")
             _checked_labels(task.support, task.num_classes)
         self.target, self.tasks, self.config = target, tasks, config
-        matrix = _array(target_aligned, "matrix")
+        matrix = as_array(target_aligned, "matrix")
         pieces, self._pools, self._node_offset = [], {}, None
         for r, task in enumerate(tasks):
             offset = sum(len(p) for p in pieces)
@@ -198,9 +193,9 @@ class _Episodes:
                 pieces.append(union.ax)
             elif self._node_offset is None:
                 self._node_offset = offset
-                pieces.append(_cached_a_hat(target) @ matrix)
+                pieces.append(target.a_hat @ matrix)
         self.ax = np.concatenate(pieces)
-        self.centers = np.stack([_array(c, "vector") for c in centers])
+        self.centers = np.stack([as_array(c, "vector") for c in centers])
         self.w1 = state.params["encoder.w1"].data
         self.w2 = Tensor(state.params["encoder.w2"].data)
 
@@ -251,14 +246,7 @@ class _Episodes:
         cfg, num_episodes = self.config, len(self.tasks)
         log_likelihoods, episode = self.support_objective()
         alpha = parameter(np.full((num_episodes, len(self.centers)), 1.0 / len(self.centers)))
-        opt = Adam(
-            {"alpha": alpha},
-            lr=cfg.lr_down,
-            weight_decay=cfg.weight_decay,
-            beta1=cfg.beta1,
-            beta2=cfg.beta2,
-            eps=cfg.adam_eps,
-        )
+        opt = Adam.from_config({"alpha": alpha}, cfg.lr_down, cfg)
         history = np.empty((cfg.steps_adapt, num_episodes))
         for step in range(cfg.steps_adapt):
             log_lik = log_likelihoods(alpha)

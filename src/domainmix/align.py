@@ -29,6 +29,12 @@ class DomainCenter:
     vector: np.ndarray
 
 
+def as_array(value, field: str) -> np.ndarray:
+    """``value.<field>`` of an AlignedFeatures or DomainCenter, or a plain
+    array as given, as float64."""
+    return np.asarray(getattr(value, field, value), dtype=np.float64)
+
+
 def pca_components(features_raw, d: int, scale: bool = False) -> np.ndarray:
     """Top-d principal directions as a (d_k, d) column matrix.
 
@@ -78,8 +84,7 @@ def pca_project(features_raw, d: int, domain_id: int = 0, scale: bool = False) -
 
 def domain_center(aligned: AlignedFeatures) -> DomainCenter:
     """Componentwise mean of the aligned rows."""
-    matrix = getattr(aligned, "matrix", aligned)
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = as_array(aligned, "matrix")
     if matrix.shape[0] < 1:
         raise ValidationError("cannot take the center of zero rows")
     return DomainCenter(

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .align import as_array
 from .errors import ValidationError
 
 
@@ -44,11 +45,10 @@ class BoundarySet:
 
 def center_distances(aligned, centers) -> DistanceTable:
     """Distance from every node to every domain center."""
-    matrix = getattr(aligned, "matrix", aligned)
-    matrix = np.asarray(matrix, dtype=np.float64)
+    matrix = as_array(aligned, "matrix")
     vectors = []
     for expect_id, center in enumerate(centers):
-        vec = np.asarray(getattr(center, "vector", center), dtype=np.float64)
+        vec = as_array(center, "vector")
         cid = getattr(center, "domain_id", expect_id)
         if cid != expect_id:
             raise ValidationError(

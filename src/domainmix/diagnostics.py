@@ -13,71 +13,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import center_distances
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 from .graphs import EgoSubgraph, extract_ego, graph_union
 from .mixing import mix_subgraphs
 from .nn import ModelState, encode_union, init_model
 from .optim import Adam
 from .seeding import sub_seed
 
-POWER_TOL = 1e-8
-POWER_MAX_STEPS = 10_000
 # full-batch Adam steps of the domain probe; 50 and 100 leave the probe
 # unable to tell apart even well-separated domains
 PROBE_EPOCHS = 200
 
 
-def spectral_norm(mat, tol: float = POWER_TOL, max_steps: int = POWER_MAX_STEPS) -> float:
-    """Largest singular value via power iteration on M^T M.
-
-    Deterministic seeded start vector; raises ConvergenceError if the
-    estimate has not stabilized after max_steps iterations.
-    """
+def spectral_norm(mat) -> float:
+    """Largest singular value of a 2-d matrix (exact, from its SVD)."""
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
         raise ValidationError(f"need a 2-d matrix, got shape {mat.shape}")
-    n_cols = mat.shape[1]
-    rng = np.random.default_rng(sub_seed(0, "power-iteration-start"))
-    v = rng.normal(size=n_cols)
-    v /= np.linalg.norm(v)
-    sigma_prev = None
-    for _ in range(max_steps):
-        w = mat @ v
-        sigma = float(np.linalg.norm(w))
-        if sigma == 0.0:
-            return 0.0
-        if sigma_prev is not None and abs(sigma - sigma_prev) <= tol * max(1.0, sigma):
-            return sigma
-        sigma_prev = sigma
-        v = mat.T @ w
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            return sigma
-        v /= nv
-    raise ConvergenceError(
-        f"power iteration did not converge within {max_steps} steps"
-    )
+    return float(np.linalg.norm(mat, 2))
 
 
-def lipschitz_upper(
-    state: ModelState,
-    subgraphs,
-    tol: float = POWER_TOL,
-    max_steps: int = POWER_MAX_STEPS,
-) -> float:
+def lipschitz_upper(state: ModelState, subgraphs) -> float:
     """sigma_max(W1) * sigma_max(W2) * max over subgraphs of ||A_hat||_2^2.
 
-    The adjacency term is 1 for every subgraph, so only the weights are
-    power-iterated. A_hat = D^-1/2 (A+I) D^-1/2 is symmetric and similar
-    to the row-stochastic D^-1 (A+I), so its eigenvalues lie in [-1, 1]
-    and its spectral norm is at most 1; D^1/2 1 is an eigenvector with
-    eigenvalue 1, so the norm is exactly 1. The subgraphs are still
-    required: the bound is stated over them.
+    The adjacency term is 1 for every subgraph, so only the weights'
+    spectral norms are computed. A_hat = D^-1/2 (A+I) D^-1/2 is symmetric
+    and similar to the row-stochastic D^-1 (A+I), so its eigenvalues lie
+    in [-1, 1] and its spectral norm is at most 1; D^1/2 1 is an
+    eigenvector with eigenvalue 1, so the norm is exactly 1. The subgraphs
+    are still required: the bound is stated over them.
     """
     if not list(subgraphs):
         raise ValidationError("need at least one subgraph for the adjacency term")
-    s1 = spectral_norm(state.params["encoder.w1"].data, tol, max_steps)
-    s2 = spectral_norm(state.params["encoder.w2"].data, tol, max_steps)
+    s1 = spectral_norm(state.params["encoder.w1"].data)
+    s2 = spectral_norm(state.params["encoder.w2"].data)
     return s1 * s2
 
 
@@ -284,13 +253,10 @@ def ambiguity_probe(
             labels.extend([k] * len(nodes))
 
     probe = init_model(aligned[0].d, config.hidden, len(graphs), seed=sub_seed(seed, "probe-init"))
-    opt = Adam(
+    opt = Adam.from_config(
         {name: t for name, t in probe.params.items() if not name.startswith("disc.")},
-        lr=config.lr_pre,
-        weight_decay=config.weight_decay,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.adam_eps,
+        config.lr_pre,
+        config,
     )
     train_subs, train_labels = pools.pop("train")
     train_union = graph_union(train_subs)

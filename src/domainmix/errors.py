@@ -27,10 +27,6 @@ class NoMixablePairsError(DomainmixError, RuntimeError):
     """No cross-domain pair passed the similarity threshold."""
 
 
-class ConvergenceError(DomainmixError, RuntimeError):
-    """An iterative solver failed to converge within its step budget."""
-
-
 class EncoderMutatedError(DomainmixError, RuntimeError):
     """A frozen encoder parameter changed during few-shot adaptation."""
 

@@ -4,11 +4,13 @@ and the block-diagonal union of subgraphs that the encoder batches over."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
+from .align import as_array
 from .errors import GraphFormatError, ValidationError
 from .io import load_feature_matrix, read_edge_list, read_labels
 
@@ -53,6 +55,12 @@ class DomainGraph:
         src = np.repeat(np.arange(self.num_nodes), np.diff(self.row_offsets))
         mask = src < self.col_targets
         return np.column_stack([src[mask], self.col_targets[mask]])
+
+    @cached_property
+    def a_hat(self) -> sp.csr_matrix:
+        """The normalized adjacency with self-loops, built on first use;
+        a domain graph is never mutated after construction."""
+        return normalized_adjacency(self.num_nodes, self.edge_array())
 
     def validate(self) -> None:
         if self.num_nodes <= 0:
@@ -173,9 +181,7 @@ def extract_ego(graph: DomainGraph, center: int, hops: int, features=None) -> Eg
     if hops < 0:
         raise ValidationError(f"hops must be >= 0, got {hops}")
 
-    if features is None:
-        features = graph.features_raw
-    features = getattr(features, "matrix", features)
+    features = as_array(graph.features_raw if features is None else features, "matrix")
 
     reached = np.zeros(graph.num_nodes, dtype=bool)
     reached[center] = True
@@ -201,7 +207,7 @@ def extract_ego(graph: DomainGraph, center: int, hops: int, features=None) -> Eg
         center_local=int(np.searchsorted(nodes_global, center)),
         nodes_global=nodes_global,
         edges=edges,
-        features=np.asarray(features, dtype=np.float64)[nodes_global].copy(),
+        features=features[nodes_global],
     )
 
 
@@ -284,12 +290,9 @@ def drop_nodes(graph: DomainGraph, fraction: float, rng) -> tuple[DomainGraph, n
     local_of = -np.ones(n, dtype=np.int64)
     local_of[kept] = np.arange(len(kept))
 
-    edges = []
-    for u, v in graph.edge_array():
-        if keep_mask[u] and keep_mask[v]:
-            edges.append((local_of[u], local_of[v]))
+    edges = graph.edge_array()
     reduced = build_domain_graph(
-        edges,
+        local_of[edges[keep_mask[edges].all(axis=1)]],
         graph.features_raw[kept],
         domain_id=graph.domain_id,
         labels=None if graph.labels is None else graph.labels[kept],

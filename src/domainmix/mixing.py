@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .align import as_array
 from .errors import NoMixablePairsError, ValidationError
 from .graphs import extract_ego
 from .seeding import sub_seed
@@ -106,7 +107,7 @@ def select_pairs(
     n_domains = len(aligned)
     if n_domains < 2:
         raise ValidationError(f"need at least 2 domains, got {n_domains}")
-    mats = [np.asarray(getattr(a, "matrix", a), dtype=np.float64) for a in aligned]
+    mats = [as_array(a, "matrix") for a in aligned]
 
     if mode == "random":
         rng = np.random.default_rng(rng_seed)
@@ -334,7 +335,7 @@ def build_batch(
     if lambda_mode == "beta" and rng is None:
         rng = np.random.default_rng(0)
     num_domains = len(graphs)
-    mats = [getattr(a, "matrix", a) for a in aligned]
+    mats = [as_array(a, "matrix") for a in aligned]
     egos = {} if egos is None else egos
 
     def ego(domain, node):

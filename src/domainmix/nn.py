@@ -43,6 +43,8 @@ class ModelState:
                     f"parameter {name!r} has shape {value.shape}, "
                     f"expected {self.params[name].data.shape}"
                 )
+            if not np.isfinite(value).all():
+                raise ValidationError(f"parameter {name!r} in checkpoint holds NaN or inf")
             self.params[name].data = np.array(value, dtype=np.float64)
 
     def encoder_params(self) -> dict:
@@ -98,18 +100,9 @@ def encode_union(union, state: ModelState, ax: Tensor | None = None) -> Tensor:
     return _forward(union.pool_a, None, as_tensor(union.ax) if ax is None else ax, state)
 
 
-def _cached_a_hat(graph):
-    # domain graphs are never mutated after construction, so the
-    # propagation matrix can live on the instance
-    if getattr(graph, "_a_hat", None) is None:
-        graph._a_hat = normalized_adjacency(graph.num_nodes, graph.edge_array())
-    return graph._a_hat
-
-
 def encode_graph(graph, features, state: ModelState) -> Tensor:
     """Encoder applied to a whole domain graph (node-level embeddings)."""
-    a_hat = _cached_a_hat(graph)
-    return _forward(a_hat, a_hat, as_tensor(features), state)
+    return _forward(graph.a_hat, graph.a_hat, as_tensor(features), state)
 
 
 def encode_nodes(graph, features, state: ModelState, nodes) -> Tensor:
@@ -129,24 +122,17 @@ def encode_nodes(graph, features, state: ModelState, nodes) -> Tensor:
             f"[{nodes.min()}, {nodes.max()}]"
         )
     rows0, s1 = _restriction(graph, nodes)
-    rows1 = _cached_a_hat(graph)[s1]
+    rows1 = graph.a_hat[s1]
     s2 = np.unique(rows1.indices)  # 2-hop closure
     return _forward(rows0, rows1[:, s2].tocsr(), as_tensor(features)[s2], state)
 
 
 def _restriction(graph, nodes):
     """``(A_hat[nodes][:, s1], s1)`` with s1 the 1-hop closure of ``nodes``
-    (self-loops included), memoized for the last node set only, so the
-    cache on the graph does not grow with the node sets it is asked for.
-    """
-    key = nodes.tobytes()
-    cache = getattr(graph, "_restriction_cache", None) or {}
-    if key not in cache:
-        rows0 = _cached_a_hat(graph)[nodes]
-        s1 = np.unique(rows0.indices)
-        cache = {key: (rows0[:, s1].tocsr(), s1)}
-        graph._restriction_cache = cache
-    return cache[key]
+    (self-loops included)."""
+    rows0 = graph.a_hat[nodes]
+    s1 = np.unique(rows0.indices)
+    return rows0[:, s1].tocsr(), s1
 
 
 def mean_pool(node_embeddings: Tensor) -> Tensor:
@@ -246,14 +232,7 @@ def pretrain(graphs, aligned, boundary_sets, config):
     """
     num_domains = len(graphs)
     state = init_model(config.pca_dim, config.hidden, num_domains, seed=config.seed)
-    opt = Adam(
-        state.params,
-        lr=config.lr_pre,
-        weight_decay=config.weight_decay,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.adam_eps,
-    )
+    opt = Adam.from_config(state.params, config.lr_pre, config)
     batch = epoch_batches(graphs, aligned, boundary_sets, config)
     history = []
     for epoch in range(config.epochs_pre):

@@ -31,6 +31,18 @@ class Adam:
         self.m = {name: np.zeros_like(p.data) for name, p in params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in params.items()}
 
+    @classmethod
+    def from_config(cls, params: dict, lr: float, config) -> "Adam":
+        """Adam at ``lr`` with a RunConfig's weight decay, betas and epsilon."""
+        return cls(
+            params,
+            lr=lr,
+            weight_decay=config.weight_decay,
+            beta1=config.beta1,
+            beta2=config.beta2,
+            eps=config.adam_eps,
+        )
+
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.zero_grad()

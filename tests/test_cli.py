@@ -11,7 +11,7 @@ import pytest
 import domainmix.nn
 from domainmix.cli import cli
 from domainmix.config import RunConfig, load_config
-from domainmix.io import read_matrix
+from domainmix.io import load_checkpoint, read_matrix, save_checkpoint
 from domainmix.pipeline import prepare
 from domainmix.synth import load_synth_dir
 
@@ -344,6 +344,21 @@ def test_missing_model_exit_1(workspace):
     )
     assert code == 1
     assert "ghost.mdgm" in err
+
+
+@pytest.mark.parametrize("command", ["eval", "diagnose"])
+def test_non_finite_checkpoint_exit_1_names_parameter(workspace, tmp_path, command):
+    weights = load_checkpoint(workspace / "art" / "model.mdgm")
+    weights["encoder.w2"][0, 0] = np.nan
+    model = tmp_path / "nan.mdgm"
+    save_checkpoint(model, weights)
+    code, _, err = run(
+        [command, "--data", str(workspace / "data"), "--model", str(model),
+         "--out", str(tmp_path / "out")]
+        + CFG
+    )
+    assert code == 1
+    assert "encoder.w2" in err and "NaN or inf" in err
 
 
 def test_no_subcommand_exit_1():

@@ -185,6 +185,29 @@ def test_drop_nodes_bad_fraction():
         drop_nodes(g, 1.0, np.random.default_rng(0))
 
 
+def test_a_hat_is_built_once_per_instance(monkeypatch):
+    import copy
+
+    import domainmix.graphs as graphs_module
+
+    g = random_graph(np.random.default_rng(5), 25, 0.2)
+    fresh = copy.deepcopy(g)
+    calls = []
+    build = graphs_module.normalized_adjacency
+    monkeypatch.setattr(
+        graphs_module, "normalized_adjacency", lambda *a: calls.append(1) or build(*a)
+    )
+    first = g.a_hat
+    assert g.a_hat is first
+    assert len(calls) == 1
+    want = build(g.num_nodes, g.edge_array()).toarray()
+    np.testing.assert_array_equal(first.toarray(), want)
+    # a copy taken before first use does not share or carry the matrix
+    assert "a_hat" not in vars(fresh)
+    assert fresh.a_hat is not first
+    assert len(calls) == 2
+
+
 def test_graph_union_matches_each_block():
     from domainmix.graphs import graph_union, normalized_adjacency
 

@@ -392,6 +392,14 @@ def test_adam_matches_scalar_reference():
         assert p.data[0] == pytest.approx(x, abs=1e-12)
 
 
+def test_adam_from_config_carries_run_config():
+    cfg = RunConfig(weight_decay=0.003, beta1=0.8, beta2=0.99, adam_eps=1e-6)
+    opt = Adam.from_config({"p": parameter(np.zeros(2))}, 0.02, cfg)
+    assert (opt.lr, opt.weight_decay, opt.beta1, opt.beta2, opt.eps) == (
+        0.02, 0.003, 0.8, 0.99, 1e-6,
+    )
+
+
 def test_adam_rejects_non_finite():
     p = parameter(np.array([1.0]))
     opt = Adam({"w": p})

@@ -91,34 +91,3 @@ def test_redundancy_rejects_bad_fraction(data):
     with pytest.raises(ValidationError, match="seeds"):
         redundancy_experiment(sources, target, CFG, [0.0], [])
 
-
-def test_restriction_cache_holds_one_node_set(data, monkeypatch):
-    import copy
-
-    import domainmix.nn as nn_module
-    from domainmix.align import pca_project
-    from domainmix.nn import init_model
-    from domainmix.pipeline import episode_metrics, prepare
-
-    sources, target = data
-    cfg = RunConfig(**dict(vars(CFG), repeats=5, steps_adapt=5)).validate()
-    _, centers, _ = prepare(sources, cfg)
-    state = init_model(cfg.pca_dim, cfg.hidden, len(sources), seed=cfg.seed)
-
-    def run(graph):
-        aligned = pca_project(graph.features_raw, cfg.pca_dim, domain_id=graph.domain_id)
-        metrics, _ = episode_metrics(state, graph, aligned, centers, cfg)
-        return [m["accuracy"] for m in metrics]
-
-    cached_graph = copy.deepcopy(target)
-    cached = run(cached_graph)
-    assert len(cached_graph._restriction_cache) <= 1
-
-    restriction = nn_module._restriction
-
-    def uncached(graph, nodes):
-        graph._restriction_cache = None
-        return restriction(graph, nodes)
-
-    monkeypatch.setattr(nn_module, "_restriction", uncached)
-    assert run(copy.deepcopy(target)) == cached
