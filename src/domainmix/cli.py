@@ -159,23 +159,23 @@ def cmd_mix(args) -> int:
     batch = epoch_batches(sources, aligned, boundary_sets, cfg)(0)
     out = _out_dir(args)
     with open(out / "mixed.jsonl", "w", encoding="utf-8") as fh:
-        for kind, subs in (("inter", batch.inter), ("intra", batch.intra)):
-            for sub in subs:
-                da, ca, db, cb, lam = sub.provenance
-                row = {
-                    "kind": kind,
-                    "domain_a": da,
-                    "center_a": ca,
-                    "domain_b": db,
-                    "center_b": cb,
-                    "lambda": lam,
-                    "coarse_label": sub.coarse_label,
-                    "mix_label": [float(v) for v in sub.mix_label],
-                    "num_nodes": len(sub.features),
-                    "num_edges": len(sub.edges),
-                }
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
-    print(f"mixed {len(batch.inter)} inter + {len(batch.intra)} intra subgraphs")
+        for i, (da, ca, db, cb, lam) in enumerate(batch.provenance):
+            coarse = int(batch.coarse_labels[i])
+            row = {
+                "kind": "inter" if coarse == 1 else "intra",
+                "domain_a": da,
+                "center_a": ca,
+                "domain_b": db,
+                "center_b": cb,
+                "lambda": lam,
+                "coarse_label": coarse,
+                "mix_label": batch.mix_labels[i].tolist(),
+                "num_nodes": int(batch.num_nodes[i]),
+                "num_edges": int(batch.num_edges[i]),
+            }
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    n_inter = int(batch.coarse_labels.sum())
+    print(f"mixed {n_inter} inter + {len(batch.provenance) - n_inter} intra subgraphs")
     return 0
 
 

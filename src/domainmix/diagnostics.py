@@ -14,8 +14,8 @@ import numpy as np
 
 from .boundary import center_distances
 from .errors import ValidationError
-from .graphs import EgoSubgraph, extract_ego, graph_union
-from .mixing import mix_subgraphs
+from .graphs import EgoSubgraph, block_union, extract_ego, graph_union
+from .mixing import mix_pairs
 from .nn import ModelState, encode_union, init_model
 from .optim import Adam
 from .seeding import sub_seed
@@ -30,6 +30,8 @@ def spectral_norm(mat) -> float:
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2:
         raise ValidationError(f"need a 2-d matrix, got shape {mat.shape}")
+    if not np.isfinite(mat).all():
+        raise ValidationError("matrix holds NaN or inf")
     return float(np.linalg.norm(mat, 2))
 
 
@@ -129,32 +131,6 @@ class StabilityResult:
         return len(self.margins)
 
 
-def _local_edge_sets(mixed, sub_a, sub_b):
-    """Map each input subgraph's edges into the mixed graph's local ids."""
-    amap, bmap = {}, {}
-    for idx, (ga, gb) in enumerate(mixed.node_origins):
-        if ga is not None:
-            amap[ga] = idx
-        if gb is not None:
-            bmap[gb] = idx
-    if sub_a.source_domain == sub_b.source_domain:
-        # same-graph mixing folds both centers into merged node 0, so either
-        # center id may appear as a plain neighbor on the opposite side
-        amap[sub_b.center_global] = 0
-        bmap[sub_a.center_global] = 0
-
-    def relabel(sub, gmap):
-        out = set()
-        for u, v in sub.edges:
-            mu = gmap[int(sub.nodes_global[u])]
-            mv = gmap[int(sub.nodes_global[v])]
-            if mu != mv:
-                out.add((min(mu, mv), max(mu, mv)))
-        return out
-
-    return relabel(sub_a, amap), relabel(sub_b, bmap)
-
-
 def stability_check(
     state: ModelState,
     pairs,
@@ -168,27 +144,28 @@ def stability_check(
     count). Shared rows of a same-graph pair are identical, so in both the
     cross-graph and same-graph cases the feature term reduces to the
     interpolated center: (1 - lam) * L_f * ||x_center_b - x_center_a||.
+    New nodes and edges are those of sub_b that no node or edge of sub_a
+    maps onto in the mix.
     """
     pairs = list(pairs)
     if not pairs:
         raise ValidationError("no pairs to check")
-    mixes = []
-    for sub_a, sub_b, lam in pairs:
-        k = max(sub_a.source_domain, sub_b.source_domain) + 1
-        mixes.append(mix_subgraphs(sub_a, sub_b, lam, num_domains=k))
+    subs_a, subs_b, lams = (list(side) for side in zip(*pairs))
+    features, sizes, edges, ids, codes = mix_pairs(subs_a, subs_b, lams)
     if lipschitz is None:
-        sample = [p[0] for p in pairs] + [p[1] for p in pairs] + mixes
-        lipschitz = lipschitz_upper(state, sample)
-    emb_a = encode_union(graph_union([p[0] for p in pairs]), state).data
-    emb_mix = encode_union(graph_union(mixes), state).data
+        lipschitz = lipschitz_upper(state, subs_a + subs_b)
+    emb_a = encode_union(graph_union(subs_a), state).data
+    emb_mix = encode_union(block_union(features, edges, sizes), state).data
     lhs = np.linalg.norm(emb_mix - emb_a, axis=1)
-    rhs = []
-    for (sub_a, sub_b, lam), mixed in zip(pairs, mixes):
-        diff = sub_b.features[sub_b.center_local] - sub_a.features[sub_a.center_local]
-        new_nodes = sum(1 for ga, _ in mixed.node_origins if ga is None)
-        edges_a, edges_b = _local_edge_sets(mixed, sub_a, sub_b)
-        rhs.append((1.0 - lam) * float(np.linalg.norm(diff)) + new_nodes + len(edges_b - edges_a))
-    rhs = lipschitz * np.array(rhs)
+    owner = np.repeat(np.arange(len(pairs)), sizes)
+    new_nodes = owner[np.setdiff1d(ids[1], ids[0])]
+    new_edges = owner[np.setdiff1d(codes[1], codes[0]) // len(features)]
+    diffs = [b.features[b.center_local] - a.features[a.center_local] for a, b, _ in pairs]
+    rhs = lipschitz * (
+        (1.0 - np.array(lams)) * np.array([np.linalg.norm(d) for d in diffs])
+        + np.bincount(new_nodes, minlength=len(pairs))
+        + np.bincount(new_edges, minlength=len(pairs))
+    )
     return StabilityResult(
         violations=int(np.count_nonzero(lhs > rhs + tol)),
         margins=rhs - lhs,

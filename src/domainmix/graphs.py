@@ -91,30 +91,16 @@ def build_domain_graph(edges, features, domain_id=0, labels=None) -> DomainGraph
     if n == 0:
         raise ValidationError("graph has no nodes")
 
-    pairs = set()
-    for u, v in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            continue
-        if u >= n or v >= n or u < 0 or v < 0:
-            raise ValidationError(
-                f"edge ({u}, {v}) out of range for {n} nodes"
-            )
-        pairs.add((u, v) if u < v else (v, u))
-
-    if pairs:
-        half = np.array(sorted(pairs), dtype=np.int64)
-        src = np.concatenate([half[:, 0], half[:, 1]])
-        dst = np.concatenate([half[:, 1], half[:, 0]])
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        row_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(row_offsets, src + 1, 1)
-        row_offsets = np.cumsum(row_offsets)
-        col_targets = dst
-    else:
-        row_offsets = np.zeros(n + 1, dtype=np.int64)
-        col_targets = np.empty(0, dtype=np.int64)
+    ends = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    ends = ends[ends[:, 0] != ends[:, 1]]
+    bad = ((ends < 0) | (ends >= n)).any(axis=1)
+    if bad.any():
+        u, v = ends[np.argmax(bad)]
+        raise ValidationError(f"edge ({u}, {v}) out of range for {n} nodes")
+    # both orientations of every edge, deduplicated and in CSR order at once
+    codes = np.unique(np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]]))
+    row_offsets = np.concatenate([[0], np.cumsum(np.bincount(codes // n, minlength=n))])
+    col_targets = codes % n
 
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)
@@ -136,11 +122,10 @@ def load_graph(edge_path, feature_path, domain_id=0, labels_path=None) -> Domain
     features = load_feature_matrix(feature_path)
     edges = read_edge_list(edge_path)
     n = features.shape[0]
-    for u, v in edges:
-        if u >= n or v >= n:
-            raise GraphFormatError(
-                f"edge ({u}, {v}) references a node >= {n}", path=edge_path
-            )
+    bad = (np.asarray(edges, dtype=np.int64).reshape(-1, 2) >= n).any(axis=1)
+    if bad.any():
+        u, v = edges[int(np.argmax(bad))]
+        raise GraphFormatError(f"edge ({u}, {v}) references a node >= {n}", path=edge_path)
     labels = read_labels(labels_path) if labels_path is not None else None
     return build_domain_graph(edges, features, domain_id=domain_id, labels=labels)
 
@@ -250,9 +235,7 @@ class SubgraphUnion:
 
 
 def graph_union(subs) -> SubgraphUnion:
-    """Union of subgraphs (anything with ``features``/``edges``/``num_nodes``)
-    with one normalized_adjacency call: normalizing the block-diagonal
-    graph equals normalizing each block on its own."""
+    """Union of subgraphs (anything with ``features``/``edges``/``num_nodes``)."""
     if not subs:
         raise ValidationError("cannot build the union of zero subgraphs")
     sizes = np.array([s.num_nodes for s in subs], dtype=np.int64)
@@ -262,14 +245,22 @@ def graph_union(subs) -> SubgraphUnion:
     edges = np.concatenate(
         [np.asarray(s.edges, dtype=np.int64).reshape(-1, 2) + o for s, o in zip(subs, offsets)]
     )
+    x = np.concatenate([np.asarray(s.features, dtype=np.float64) for s in subs])
+    return block_union(x, edges, sizes)
+
+
+def block_union(features, edges, sizes) -> SubgraphUnion:
+    """The union of consecutive blocks of ``sizes`` nodes, given their
+    stacked feature rows and their edges in stacked ids, with one
+    normalized_adjacency call: normalizing the block-diagonal graph equals
+    normalizing each block on its own."""
     total = int(sizes.sum())
     a_hat = normalized_adjacency(total, edges)
-    owner = np.repeat(np.arange(len(subs)), sizes)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
     pool = sp.csr_matrix(
-        (1.0 / sizes[owner], (owner, np.arange(total))), shape=(len(subs), total)
+        (1.0 / sizes[owner], (owner, np.arange(total))), shape=(len(sizes), total)
     )
-    x = np.concatenate([np.asarray(s.features, dtype=np.float64) for s in subs])
-    return SubgraphUnion(ax=a_hat @ x, pool_a=(pool @ a_hat).tocsr())
+    return SubgraphUnion(ax=a_hat @ features, pool_a=(pool @ a_hat).tocsr())
 
 
 def drop_nodes(graph: DomainGraph, fraction: float, rng) -> tuple[DomainGraph, np.ndarray]:

@@ -5,7 +5,9 @@ pairs above a cosine threshold, top-N by similarity. Intra-domain pairs are
 sampled uniformly per domain. Mixing merges the two ego centers into one
 node whose feature is the lambda-interpolation of the two center features;
 everything else keeps its original feature and the edge sets are unioned.
-Topology therefore does not depend on lambda.
+Topology therefore does not depend on lambda. A batch mixes all its
+pairs in one array pass (mix_pairs), straight into the block-diagonal
+union the encoder reads.
 """
 
 from __future__ import annotations
@@ -18,8 +20,11 @@ import numpy as np
 
 from .align import as_array
 from .errors import NoMixablePairsError, ValidationError
-from .graphs import extract_ego
+from .graphs import SubgraphUnion, block_union, extract_ego
 from .seeding import sub_seed
+
+# the mixing weight of lambda mode "fixed"
+FIXED_LAMBDA = 0.5
 
 
 @dataclass
@@ -51,12 +56,15 @@ class MixedSubgraph:
 
 @dataclass
 class MixBatch:
-    inter: list
-    intra: list
+    """A batch of mixed subgraphs, inter pairs first, as one union: block i
+    of ``union`` is the mix of pair i."""
 
-    @property
-    def subgraphs(self) -> list:
-        return self.inter + self.intra
+    union: SubgraphUnion
+    coarse_labels: np.ndarray  # per block: 0 intra, 1 inter
+    mix_labels: np.ndarray  # blocks x K, each row on the simplex
+    provenance: list  # per block: (domain_a, node_a, domain_b, node_b, lam)
+    num_nodes: np.ndarray  # per block
+    num_edges: np.ndarray  # per block
 
 
 def cosine_sim(x, y) -> float:
@@ -220,95 +228,125 @@ def sample_intra_pairs(pools, n_pairs: int, num_domains: int, rng_seed: int = 0)
     return pairs
 
 
-def mix_subgraphs(sub_a, sub_b, lam: float, num_domains: int | None = None) -> MixedSubgraph:
-    """Merge two ego subgraphs around an interpolated center.
+def mix_pairs(subs_a, subs_b, lams):
+    """Mix every pair (subs_a[i], subs_b[i], lams[i]) in one array pass.
 
-    Within one source graph any shared global node is identified once
-    (features from sub_a); across graphs only the centers are fused.
-    Identification can turn a center-center edge into a self-loop, which
-    is dropped (the encoder adds its own self-loops).
+    Block i is the mix of pair i, in mix_subgraphs' local order. Returns
+    ``(features, sizes, edges, ids, codes)``: the node rows of every block,
+    stacked; each block's node count; the distinct edges in stacked rows,
+    as (m, 2) pairs u < v in lexicographic order; per side (a, b), each
+    input node's row; per side, its edges as codes u * total + v with
+    u < v, self-loops dropped and repeats kept.
     """
-    if sub_a.features.shape[1] != sub_b.features.shape[1]:
-        raise ValidationError(
-            f"feature widths differ: {sub_a.features.shape[1]} vs "
-            f"{sub_b.features.shape[1]}"
-        )
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"lambda must be in [0, 1], got {lam}")
-    da, db = sub_a.source_domain, sub_b.source_domain
-    if num_domains is None:
-        num_domains = max(da, db) + 1
-    if max(da, db) >= num_domains:
-        raise ValidationError(
-            f"domain id {max(da, db)} out of range for {num_domains} domains"
-        )
-    same_graph = da == db
-    ca, cb = sub_a.center_global, sub_b.center_global
-    nodes_a = np.asarray(sub_a.nodes_global, dtype=np.int64)
-    nodes_b = np.asarray(sub_b.nodes_global, dtype=np.int64)
+    lams = np.asarray(lams, dtype=np.float64)
+    widths = sorted({s.features.shape[1] for s in list(subs_a) + list(subs_b)})
+    if len(widths) > 1:
+        raise ValidationError(f"feature widths differ: {widths[0]} vs {widths[1]}")
+    bad = ~((lams >= 0.0) & (lams <= 1.0))
+    if bad.any():
+        raise ValidationError(f"lambda must be in [0, 1], got {lams[bad][0]}")
+    (pa, na, ea, xa, ca), (pb, nb, eb, xb, cb) = _stack(subs_a), _stack(subs_b)
+    same = np.array([a.source_domain == b.source_domain for a, b in zip(subs_a, subs_b)])
+    ga, gb = na[ca], nb[cb]
+    # within one source graph both centers fold into node 0, and a node of
+    # sub_b already in sub_a keeps sub_a's row; (pair, node) codes ascend
+    # along sub_a, since nodes_global is sorted
+    center_a = (na == ga[pa]) | (same[pa] & (na == gb[pa]))
+    center_b = (nb == gb[pb]) | (same[pb] & (nb == ga[pb]))
+    span = int(max(na.max(), nb.max())) + 1
+    code_a, code_b = pa * span + na, pb * span + nb
+    at = np.searchsorted(code_a, code_b).clip(max=len(code_a) - 1)
+    shared_b = same[pb] & ~center_b & (code_a[at] == code_b)
+    own_a, new_b = ~center_a, ~(center_b | shared_b)
 
-    # local ids: merged center 0, then sub_a's other nodes in order, then
-    # sub_b's nodes that are not already there. Within one source graph
-    # both centers fold into node 0 and shared nodes keep sub_a's row.
-    if same_graph:
-        center_a = (nodes_a == ca) | (nodes_a == cb)
-        center_b = (nodes_b == ca) | (nodes_b == cb)
-        shared_a = _members(nodes_a, nodes_b) & ~center_a
-        shared_b = _members(nodes_b, nodes_a) & ~center_b
-    else:
-        center_a, center_b = nodes_a == ca, nodes_b == cb
-        shared_a = np.zeros(len(nodes_a), dtype=bool)
-        shared_b = np.zeros(len(nodes_b), dtype=bool)
-    own_a = ~center_a
-    new_b = ~(center_b | shared_b)
-    n_a = int(own_a.sum())
-    local_a = np.zeros(len(nodes_a), dtype=np.int64)
-    local_a[own_a] = 1 + np.arange(n_a)
-    local_b = np.zeros(len(nodes_b), dtype=np.int64)
-    local_b[shared_b] = local_a[np.searchsorted(nodes_a, nodes_b[shared_b])]
-    local_b[new_b] = 1 + n_a + np.arange(int(new_b.sum()))
-    num_nodes = 1 + n_a + int(new_b.sum())
+    rank_a, n_a = _ranks(pa[own_a], len(lams))
+    rank_b, n_b = _ranks(pb[new_b], len(lams))
+    sizes = 1 + n_a + n_b
+    offsets = np.cumsum(sizes) - sizes
+    ids_a, ids_b = offsets[pa], offsets[pb]
+    ids_a[own_a] += 1 + rank_a
+    ids_b[new_b] += 1 + n_a[pb[new_b]] + rank_b
+    ids_b[shared_b] = ids_a[at[shared_b]]
 
-    center = (
-        lam * sub_a.features[sub_a.center_local]
-        + (1.0 - lam) * sub_b.features[sub_b.center_local]
+    features = np.empty((int(sizes.sum()), widths[0]))
+    features[ids_a[own_a]] = xa[own_a]
+    features[ids_b[new_b]] = xb[new_b]
+    features[offsets] = lams[:, None] * xa[ca] + (1.0 - lams)[:, None] * xb[cb]
+    ends = [np.sort(ids_a[ea], axis=1), np.sort(ids_b[eb], axis=1)]
+    codes = [(e[:, 0] * len(features) + e[:, 1])[e[:, 0] != e[:, 1]] for e in ends]
+    edges = np.column_stack(np.divmod(np.unique(np.concatenate(codes)), len(features)))
+    return features, sizes, edges, (ids_a, ids_b), codes
+
+
+def _stack(subs):
+    """One side of a pair list as flat arrays: each node's pair and global
+    id, the edges in stacked rows, the features, and each center's row."""
+    sizes = np.array([len(s.nodes_global) for s in subs], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    edges = [np.asarray(s.edges, dtype=np.int64).reshape(-1, 2) for s in subs]
+    return (
+        np.repeat(np.arange(len(subs)), sizes),
+        np.concatenate([s.nodes_global for s in subs]).astype(np.int64),
+        np.concatenate(edges) + np.repeat(starts, [len(e) for e in edges])[:, None],
+        np.concatenate([s.features for s in subs]),
+        starts + np.array([s.center_local for s in subs], dtype=np.int64),
     )
-    features = np.concatenate([[center], sub_a.features[own_a], sub_b.features[new_b]])
-    origins = [(ca, cb)]
-    origins += [
-        (g, g) if shared else (g, None)
-        for g, shared in zip(nodes_a[own_a].tolist(), shared_a[own_a].tolist())
+
+
+def _ranks(pair, num):
+    """Each entry's rank within its pair (``pair`` ascends), and each pair's count."""
+    counts = np.bincount(pair, minlength=num)
+    return np.arange(len(pair)) - np.repeat(np.cumsum(counts) - counts, counts), counts
+
+
+def _labels(subs_a, subs_b, lams, num_domains):
+    """Coarse labels (0 within one graph, 1 across), mix-label rows and
+    provenance tuples (domain_a, node_a, domain_b, node_b, lam)."""
+    lams = np.asarray(lams, dtype=np.float64)
+    da = np.array([s.source_domain for s in subs_a], dtype=np.int64)
+    db = np.array([s.source_domain for s in subs_b], dtype=np.int64)
+    top = int(max(da.max(), db.max()))
+    if top >= num_domains:
+        raise ValidationError(f"domain id {top} out of range for {num_domains} domains")
+    mix = np.zeros((len(da), num_domains))
+    mix[np.arange(len(da)), da] += lams
+    mix[np.arange(len(da)), db] += 1.0 - lams
+    provenance = [
+        (a.source_domain, int(a.center_global), b.source_domain, int(b.center_global), w)
+        for a, b, w in zip(subs_a, subs_b, lams.tolist())
     ]
-    origins += [(None, g) for g in nodes_b[new_b].tolist()]
-
-    ends = np.concatenate(
-        [
-            local_a[np.asarray(sub_a.edges, dtype=np.int64).reshape(-1, 2)],
-            local_b[np.asarray(sub_b.edges, dtype=np.int64).reshape(-1, 2)],
-        ]
-    )
-    ends = np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1)
-    codes = np.unique(ends[:, 0] * num_nodes + ends[:, 1])
-    edges = np.column_stack([codes // num_nodes, codes % num_nodes])
-
-    mix_label = np.zeros(num_domains)
-    mix_label[da] += lam
-    mix_label[db] += 1.0 - lam
-    return MixedSubgraph(
-        features=np.asarray(features, dtype=np.float64),
-        edges=edges,
-        merged_center=0,
-        coarse_label=0 if same_graph else 1,
-        mix_label=mix_label,
-        provenance=(da, int(ca), db, int(cb), float(lam)),
-        node_origins=origins,
-    )
+    return (da != db).astype(np.int64), mix, provenance
 
 
-def _members(values, sorted_pool):
-    """Mask of the ``values`` that occur in the ascending array ``sorted_pool``."""
-    at = np.searchsorted(sorted_pool, values).clip(max=len(sorted_pool) - 1)
-    return sorted_pool[at] == values
+def mix_subgraphs(sub_a, sub_b, lam: float, num_domains: int | None = None) -> MixedSubgraph:
+    """Merge two ego subgraphs around an interpolated center (mix_pairs on
+    one pair). Local ids: merged center 0, then sub_a's other nodes in
+    order, then sub_b's nodes that are not already there. Within one
+    source graph any shared global node is identified once (features from
+    sub_a) and both centers fold into node 0; across graphs only the
+    centers are fused. A center-center edge thus becomes a self-loop,
+    which is dropped (the encoder adds its own self-loops).
+    """
+    if num_domains is None:
+        num_domains = max(sub_a.source_domain, sub_b.source_domain) + 1
+    features, _, edges, ids, _ = mix_pairs([sub_a], [sub_b], [lam])
+    coarse, mix_label, provenance = _labels([sub_a], [sub_b], [lam], num_domains)
+    origins = [[None, None] for _ in features]
+    for side, sub in enumerate((sub_a, sub_b)):
+        for g, i in zip(np.asarray(sub.nodes_global).tolist(), ids[side].tolist()):
+            origins[i][side] = g
+    origins[0] = [sub_a.center_global, sub_b.center_global]
+    origins = [tuple(o) for o in origins]
+    return MixedSubgraph(features, edges, 0, int(coarse[0]), mix_label[0], provenance[0], origins)
+
+
+def _lambdas(n, lambda_mode, lam, lambda_alpha, rng):
+    """n mixing weights: ``lam`` (one value, or n) in fixed mode, else n
+    beta(alpha, alpha) draws from ``rng``."""
+    if lambda_mode == "fixed":
+        return np.broadcast_to(np.asarray(lam, dtype=np.float64), n)
+    rng = np.random.default_rng(0) if rng is None else rng
+    return rng.beta(lambda_alpha, lambda_alpha, size=n)
 
 
 def build_batch(
@@ -318,50 +356,54 @@ def build_batch(
     aligned,
     hops: int = 1,
     lambda_mode: str = "fixed",
-    lam: float = 0.5,
+    lam: float = FIXED_LAMBDA,
     lambda_alpha: float = 0.2,
     rng=None,
     egos=None,
 ) -> MixBatch:
-    """Extract ego subgraphs for every pair and mix them (inter first).
+    """Extract the egos of every pair and mix all pairs, inter first, into
+    one union.
 
-    ``egos`` memoizes extracted egos by (domain, node); pass one dict to
-    calls that share graphs, features and hops.
+    ``lam`` is fixed mode's lambda, one value or one per pair; beta mode
+    draws one per pair. ``egos`` memoizes extracted egos by (domain,
+    node); pass one dict to calls that share graphs, features and hops.
     """
     if hops < 1:
         raise ValidationError(f"hops must be >= 1, got {hops}")
     if lambda_mode not in ("fixed", "beta"):
         raise ValidationError(f"unknown lambda mode {lambda_mode!r}")
-    if lambda_mode == "beta" and rng is None:
-        rng = np.random.default_rng(0)
-    num_domains = len(graphs)
+    pairs = list(inter_pairs) + list(intra_pairs)
+    if not pairs:
+        raise ValidationError("empty batch")
+    lams = _lambdas(len(pairs), lambda_mode, lam, lambda_alpha, rng)
     mats = [as_array(a, "matrix") for a in aligned]
     egos = {} if egos is None else egos
-
-    def ego(domain, node):
-        if (domain, node) not in egos:
-            egos[domain, node] = extract_ego(graphs[domain], node, hops, mats[domain])
-        return egos[domain, node]
-
-    def make(pair):
-        ego_a = ego(pair.domain_a, pair.node_a)
-        ego_b = ego(pair.domain_b, pair.node_b)
-        here = lam if lambda_mode == "fixed" else float(rng.beta(lambda_alpha, lambda_alpha))
-        return mix_subgraphs(ego_a, ego_b, here, num_domains=num_domains)
-
+    ends = [(p.domain_a, p.node_a) for p in pairs] + [(p.domain_b, p.node_b) for p in pairs]
+    for k, node in ends:
+        if (k, node) not in egos:
+            egos[k, node] = extract_ego(graphs[k], node, hops, mats[k])
+    subs_a = [egos[end] for end in ends[: len(pairs)]]
+    subs_b = [egos[end] for end in ends[len(pairs) :]]
+    features, sizes, edges, _, _ = mix_pairs(subs_a, subs_b, lams)
+    coarse, mix_labels, provenance = _labels(subs_a, subs_b, lams, len(graphs))
+    owner = np.repeat(np.arange(len(pairs)), sizes)
     return MixBatch(
-        inter=[make(p) for p in inter_pairs],
-        intra=[make(p) for p in intra_pairs],
+        union=block_union(features, edges, sizes),
+        coarse_labels=coarse,
+        mix_labels=mix_labels,
+        provenance=provenance,
+        num_nodes=sizes,
+        num_edges=np.bincount(owner[edges[:, 0]], minlength=len(pairs)),
     )
 
 
 def epoch_batches(graphs, aligned, boundary_sets, config):
     """The pre-training batch builder: returns ``batch(epoch) -> MixBatch``.
 
-    Inter pairs are selected from the boundary sets and mixed once, here,
-    and every epoch reuses them; intra pairs are redrawn per epoch from
-    ``config.intra_pool``. Each draw has its own sub-seed of config.seed.
-    An ego is extracted once per run.
+    Inter pairs and their lambdas are drawn once, here; intra pairs and
+    theirs are redrawn per epoch from ``config.intra_pool``. Each draw has
+    its own sub-seed of config.seed. Every epoch mixes both halves in one
+    build_batch call, and an ego is extracted once per run.
     """
     inter_pairs = select_pairs(
         boundary_sets,
@@ -376,31 +418,19 @@ def epoch_batches(graphs, aligned, boundary_sets, config):
     else:
         pools = [np.arange(g.num_nodes) for g in graphs]
 
+    def lambdas(n, name):
+        rng = np.random.default_rng(sub_seed(config.seed, name))
+        return _lambdas(n, config.lambda_mode, FIXED_LAMBDA, config.lambda_alpha, rng)
+
+    inter_lams = lambdas(len(inter_pairs), "lambda-inter")
     egos = {}
 
-    def mix(inter, intra, lambda_seed):
-        return build_batch(
-            inter,
-            intra,
-            graphs,
-            aligned,
-            hops=config.hops,
-            lambda_mode=config.lambda_mode,
-            lambda_alpha=config.lambda_alpha,
-            rng=np.random.default_rng(sub_seed(config.seed, lambda_seed)),
-            egos=egos,
-        )
-
-    inter = mix(inter_pairs, [], "lambda-inter").inter
-
     def batch(epoch: int) -> MixBatch:
-        intra_pairs = sample_intra_pairs(
-            pools,
-            config.n_pairs,
-            len(graphs),
-            rng_seed=sub_seed(config.seed, f"intra-pairs-epoch-{epoch}"),
+        seed = sub_seed(config.seed, f"intra-pairs-epoch-{epoch}")
+        intra_pairs = sample_intra_pairs(pools, config.n_pairs, len(graphs), rng_seed=seed)
+        lams = np.concatenate([inter_lams, lambdas(len(intra_pairs), f"lambda-epoch-{epoch}")])
+        return build_batch(
+            inter_pairs, intra_pairs, graphs, aligned, hops=config.hops, lam=lams, egos=egos
         )
-        intra = mix([], intra_pairs, f"lambda-epoch-{epoch}").intra
-        return MixBatch(inter=inter, intra=intra)
 
     return batch

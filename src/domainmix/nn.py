@@ -14,7 +14,7 @@ import numpy as np
 
 from .autodiff import Tensor, as_tensor, grl, parameter, spmm, stack
 from .errors import ValidationError
-from .graphs import graph_union, normalized_adjacency
+from .graphs import normalized_adjacency
 from .mixing import epoch_batches
 from .optim import Adam
 from .seeding import sub_seed
@@ -200,19 +200,16 @@ def loss_fine(predictions, targets, mask) -> Tensor:
 def loss_pretrain(batch, state: ModelState, beta: float = 1.0):
     """Full forward pass; returns (total loss tensor, per-part floats).
 
-    The batch is encoded as one block-diagonal graph, and every head works
-    on the (2N, hidden) matrix of pooled embeddings at once.
+    The batch arrives as one block-diagonal union, and every head works on
+    the (2N, hidden) matrix of pooled embeddings at once.
     """
-    subs = batch.subgraphs
-    if not subs:
-        raise ValidationError("empty batch")
-    pooled = encode_union(graph_union(subs), state)
+    pooled = encode_union(batch.union, state)
     probs = discriminate(pooled, state)
-    labels = np.array([s.coarse_label for s in subs])
+    labels = np.asarray(batch.coarse_labels)
     l_dis = loss_dis(probs, labels)
     mask = gate_mask(probs)
     preds = decompose(pooled, mask[:, None], state, beta=beta)
-    l_fine = loss_fine(preds, [s.mix_label for s in subs], mask)
+    l_fine = loss_fine(preds, batch.mix_labels, mask)
     total = l_dis + l_fine
     inter = labels == 1
     parts = {

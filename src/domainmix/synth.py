@@ -117,7 +117,7 @@ def _sbm_edges(blocks, p_in, p_out, rng):
     same = blocks[u] == blocks[v]
     prob = np.where(same, p_in, p_out)
     hit = rng.random(len(u)) < prob
-    return list(zip(u[hit].tolist(), v[hit].tolist()))
+    return np.column_stack([u[hit], v[hit]])
 
 
 def _make_domain(spec, center, boundary_fraction, domain_id, rng, class_scale=1.0):
@@ -148,7 +148,7 @@ def _make_domain(spec, center, boundary_fraction, domain_id, rng, class_scale=1.
         )
         blocks[boundary_ids] = spec.classes_per_domain
     edges = _sbm_edges(blocks, spec.intra_edge_prob, spec.inter_block_prob, rng)
-    if not edges:
+    if len(edges) == 0:
         warnings.warn(
             f"domain {domain_id} came out edgeless with the given probabilities",
             stacklevel=3,

@@ -156,7 +156,7 @@ def test_mix_writes_the_epoch_0_pretraining_batch(workspace, tmp_path, monkeypat
     sources, _, _ = load_synth_dir(data)
     aligned, _, boundary_sets = prepare(sources, cfg)
     domainmix.nn.pretrain(sources, aligned, boundary_sets, cfg)
-    want = [sub.provenance for sub in batches[0].subgraphs]
+    want = batches[0].provenance
     assert rows == want
     assert len({lam for *_, lam in want}) > 1  # beta draws, not the fixed 0.5
 

@@ -12,7 +12,6 @@ from domainmix.config import RunConfig
 from domainmix.diagnostics import (
     PROBE_EPOCHS,
     DiagnosticsReport,
-    _local_edge_sets,
     ambiguity_probe,
     boundary_mass,
     compute_diagnostics,
@@ -67,6 +66,20 @@ def test_spectral_norm_rectangular_oracle():
 def test_spectral_norm_rejects_non_matrix():
     with pytest.raises(ValidationError, match="2-d"):
         spectral_norm(np.ones(3))
+
+
+def test_spectral_norm_rejects_nan():
+    mat = np.eye(4)
+    mat[1, 2] = np.nan
+    with pytest.raises(ValidationError, match="NaN or inf"):
+        spectral_norm(mat)
+
+
+def test_spectral_norm_rejects_inf():
+    mat = np.eye(4)
+    mat[3, 0] = -np.inf
+    with pytest.raises(ValidationError, match="NaN or inf"):
+        spectral_norm(mat)
 
 
 def _one_node_state(d):
@@ -413,6 +426,32 @@ def test_stability_respects_given_lipschitz():
 def test_stability_empty_error():
     with pytest.raises(ValidationError):
         stability_check(init_model(3, 2, 2, seed=0), [])
+
+
+def _local_edge_sets(mixed, sub_a, sub_b):
+    """Map each input subgraph's edges into the mixed graph's local ids."""
+    amap, bmap = {}, {}
+    for idx, (ga, gb) in enumerate(mixed.node_origins):
+        if ga is not None:
+            amap[ga] = idx
+        if gb is not None:
+            bmap[gb] = idx
+    if sub_a.source_domain == sub_b.source_domain:
+        # same-graph mixing folds both centers into merged node 0, so either
+        # center id may appear as a plain neighbor on the opposite side
+        amap[sub_b.center_global] = 0
+        bmap[sub_a.center_global] = 0
+
+    def relabel(sub, gmap):
+        out = set()
+        for u, v in sub.edges:
+            mu = gmap[int(sub.nodes_global[u])]
+            mv = gmap[int(sub.nodes_global[v])]
+            if mu != mv:
+                out.add((min(mu, mv), max(mu, mv)))
+        return out
+
+    return relabel(sub_a, amap), relabel(sub_b, bmap)
 
 
 def _stability_margins_per_pair(state, pairs, lipschitz):

@@ -230,3 +230,70 @@ def test_graph_union_matches_each_block():
         )
         assert union.pool_a[i, :start].nnz == 0 and union.pool_a[i, rows.stop:].nnz == 0
         start = rows.stop
+
+
+def set_based_csr(edges, n):
+    """The CSR arrays of a DomainGraph, built edge by edge with a set."""
+    pairs = set()
+    for u, v in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            continue
+        if u >= n or v >= n or u < 0 or v < 0:
+            raise ValidationError(f"edge ({u}, {v}) out of range for {n} nodes")
+        pairs.add((u, v) if u < v else (v, u))
+    row_offsets = np.zeros(n + 1, dtype=np.int64)
+    col_targets = np.empty(0, dtype=np.int64)
+    if pairs:
+        half = np.array(sorted(pairs), dtype=np.int64)
+        src = np.concatenate([half[:, 0], half[:, 1]])
+        dst = np.concatenate([half[:, 1], half[:, 0]])
+        order = np.lexsort((dst, src))
+        np.add.at(row_offsets, src[order] + 1, 1)
+        row_offsets, col_targets = np.cumsum(row_offsets), dst[order]
+    return row_offsets, col_targets
+
+
+@pytest.mark.parametrize(
+    "edges, n",
+    [
+        ([(0, 1), (0, 1), (1, 0), (2, 3), (3, 2), (3, 2)], 5),  # duplicates, both orientations
+        ([(1, 1), (0, 2), (2, 2), (2, 0), (4, 4)], 5),  # self-loops
+        ([(5, 6), (6, 7)], 9),  # isolated nodes 0-4 and 8
+        ([], 3),  # no edges
+        (np.empty((0, 2), dtype=np.int64), 1),
+        ([(9, 9), (0, 1)], 2),  # an out-of-range self-loop is dropped, as before
+    ],
+)
+def test_build_domain_graph_matches_set_based_builder(edges, n):
+    g = build_domain_graph(edges, np.zeros((n, 2)))
+    want_offsets, want_targets = set_based_csr(edges, n)
+    for got, want in ((g.row_offsets, want_offsets), (g.col_targets, want_targets)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_build_domain_graph_random_edges_match_set_based_builder():
+    rng = np.random.default_rng(9)
+    for n in (2, 7, 40):
+        edges = rng.integers(0, n, size=(5 * n, 2))
+        g = build_domain_graph(edges.tolist(), np.zeros((n, 1)))
+        want_offsets, want_targets = set_based_csr(edges, n)
+        assert g.row_offsets.tobytes() == want_offsets.tobytes()
+        assert g.col_targets.tobytes() == want_targets.tobytes()
+
+
+@pytest.mark.parametrize("bad", [(1, 5), (-1, 2), (2, 7)])
+def test_build_domain_graph_names_the_first_bad_edge(bad):
+    edges = [(0, 1), (3, 3), bad, (0, 9)]
+    with pytest.raises(ValidationError, match=rf"edge \({bad[0]}, {bad[1]}\) out of range for 4"):
+        build_domain_graph(edges, np.zeros((4, 2)))
+
+
+def test_load_graph_names_the_first_edge_past_the_rows_and_the_path(tmp_path):
+    write_edge_list(tmp_path / "e.txt", [(0, 1), (2, 3), (1, 2), (4, 0)])
+    write_matrix(tmp_path / "x.mdgf", np.zeros((3, 2)))
+    with pytest.raises(GraphFormatError) as exc:
+        load_graph(tmp_path / "e.txt", tmp_path / "x.mdgf")
+    assert "edge (2, 3) references a node >= 3" in str(exc.value)
+    assert "e.txt" in str(exc.value)

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -347,9 +348,10 @@ def test_build_batch_labels_and_order():
     intra = [NodePair(0, 0, 0, 2, float("nan"))]
     batch = build_batch(inter, intra, graphs, aligned, hops=1)
     assert isinstance(batch, MixBatch)
-    assert [s.coarse_label for s in batch.subgraphs] == [1, 0]
-    for s in batch.subgraphs:
-        assert abs(s.mix_label.sum() - 1.0) < 1e-9
+    assert batch.coarse_labels.tolist() == [1, 0]
+    assert batch.union.num_graphs == 2
+    for row in batch.mix_labels:
+        assert abs(row.sum() - 1.0) < 1e-9
 
 
 def test_build_batch_rejects_zero_hops():
@@ -375,13 +377,13 @@ def test_build_batch_beta_mode_seeded():
         pairs, [], graphs, aligned, hops=1, lambda_mode="beta",
         lambda_alpha=0.2, rng=np.random.default_rng(4),
     )
-    lams1 = [s.provenance[4] for s in b1.inter]
-    lams2 = [s.provenance[4] for s in b2.inter]
+    lams1 = [p[4] for p in b1.provenance]
+    lams2 = [p[4] for p in b2.provenance]
     assert lams1 == lams2
     assert lams1[0] != lams1[1]
-    for s in b1.inter:
-        assert 0.0 <= s.provenance[4] <= 1.0
-        assert abs(s.mix_label.sum() - 1.0) < 1e-9
+    for lam, row in zip(lams1, b1.mix_labels):
+        assert 0.0 <= lam <= 1.0
+        assert abs(row.sum() - 1.0) < 1e-9
 
 
 def test_select_pairs_top_matches_full_sort_with_ties():
@@ -522,7 +524,187 @@ def test_epoch_batches_extract_each_ego_once(monkeypatch):
     batch = mixing_module.epoch_batches(graphs, aligned, sets, cfg)
     used = set()
     for epoch in range(6):
-        for sub in batch(epoch).subgraphs:
-            da, ca, db, cb, _ = sub.provenance
+        for da, ca, db, cb, _ in batch(epoch).provenance:
             used |= {(da, ca), (db, cb)}
     assert sorted(calls) == sorted(used)
+
+
+def assert_batch_matches_per_pair(batch, graphs, mats, hops):
+    """build_batch's arrays equal graph_union over one mix_subgraphs per
+    pair, rebuilt from the batch's provenance: bit for bit."""
+    from domainmix.graphs import graph_union
+
+    subs = [
+        mix_subgraphs(
+            extract_ego(graphs[da], ca, hops, mats[da]),
+            extract_ego(graphs[db], cb, hops, mats[db]),
+            lam,
+            num_domains=len(graphs),
+        )
+        for da, ca, db, cb, lam in batch.provenance
+    ]
+    want = graph_union(subs)
+    assert np.array_equal(batch.union.ax, want.ax)
+    for part in ("data", "indices", "indptr"):
+        got, ref = getattr(batch.union.pool_a, part), getattr(want.pool_a, part)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref), part
+    assert batch.coarse_labels.tolist() == [s.coarse_label for s in subs]
+    assert np.array_equal(batch.mix_labels, np.array([s.mix_label for s in subs]))
+    assert batch.num_nodes.tolist() == [s.num_nodes for s in subs]
+    assert batch.num_edges.tolist() == [len(s.edges) for s in subs]
+    return subs
+
+
+@pytest.mark.parametrize(
+    "spec_kw, cfg_kw",
+    [
+        # the acceptance ablation config: boundary-top pairs, fixed lambda
+        (
+            dict(K=3, nodes_per_domain=300, boundary_cluster_fraction=0.3,
+                 interior_class_scale=0.3, target_domain_noise=2.0),
+            dict(pca_dim=16, n_pairs=20, gamma=0.3, rho=0.3, intra_pool="boundary"),
+        ),
+        # random pairs over all nodes, beta lambda
+        (
+            dict(K=3, nodes_per_domain=300, boundary_cluster_fraction=0.3),
+            dict(pca_dim=16, n_pairs=20, gamma=0.3, rho=0.3, pair_mode="random",
+                 lambda_mode="beta"),
+        ),
+        # 2-hop egos on four thinned domains
+        (
+            dict(K=4, nodes_per_domain=400, feature_dim=32, intra_edge_prob=0.04,
+                 inter_block_prob=0.004),
+            dict(pca_dim=16, n_pairs=24, gamma=0.3, rho=0.3, hops=2, lambda_mode="beta"),
+        ),
+    ],
+)
+def test_epoch_batches_match_per_pair_mixing(spec_kw, cfg_kw):
+    from domainmix.config import RunConfig
+    from domainmix.mixing import epoch_batches
+    from domainmix.pipeline import prepare
+    from domainmix.seeding import sub_seed
+    from domainmix.synth import SynthSpec, make_synth
+
+    for seed in range(3):
+        graphs, _, _ = make_synth(SynthSpec(**spec_kw), seed)
+        cfg = RunConfig(seed=seed, **cfg_kw).validate()
+        aligned, _, bsets = prepare(graphs, cfg)
+        mats = [a.matrix for a in aligned]
+        batch = epoch_batches(graphs, aligned, bsets, cfg)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inter = select_pairs(bsets, aligned, cfg.gamma, cfg.n_pairs,
+                                 rng_seed=sub_seed(seed, "inter-pairs"), mode=cfg.pair_mode)
+        pools = (
+            [b.node_ids for b in bsets] if cfg.intra_pool == "boundary"
+            else [np.arange(g.num_nodes) for g in graphs]
+        )
+
+        def draws(n, name):
+            # one beta draw per pair, under the draw's own sub-seed
+            rng = np.random.default_rng(sub_seed(seed, name))
+            if cfg.lambda_mode == "fixed":
+                return [0.5] * n
+            return [float(rng.beta(cfg.lambda_alpha, cfg.lambda_alpha)) for _ in range(n)]
+
+        inter_lams = draws(len(inter), "lambda-inter")
+        for epoch in range(0, 12, 3):
+            got = batch(epoch)
+            intra = sample_intra_pairs(pools, cfg.n_pairs, len(graphs),
+                                       rng_seed=sub_seed(seed, f"intra-pairs-epoch-{epoch}"))
+            lams = inter_lams + draws(len(intra), f"lambda-epoch-{epoch}")
+            assert got.provenance == [
+                (p.domain_a, p.node_a, p.domain_b, p.node_b, lam)
+                for p, lam in zip(inter + intra, lams)
+            ]
+            assert_batch_matches_per_pair(got, graphs, mats, cfg.hops)
+
+
+def test_build_batch_matches_per_pair_on_random_pairs():
+    from domainmix.mixing import NodePair
+
+    rng = np.random.default_rng(35)
+    graphs, mats = [], []
+    for k in range(2):
+        n = 25
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.12]
+        graphs.append(build_domain_graph(edges, rng.normal(size=(n, 3)), domain_id=k))
+        mats.append(graphs[k].features_raw)
+    aligned = [wrap(m, k) for k, m in enumerate(mats)]
+    for hops in (1, 2):
+        pairs = []
+        for _ in range(60):
+            ka, kb = int(rng.integers(2)), int(rng.integers(2))
+            pairs.append(NodePair(ka, int(rng.integers(25)), kb, int(rng.integers(25)), 0.0))
+        # same-graph pairs whose centers are adjacent
+        for u, v in graphs[0].edge_array()[:5]:
+            pairs.append(NodePair(0, int(u), 0, int(v), 0.0))
+        batch = build_batch(pairs, [], graphs, aligned, hops=hops, lambda_mode="beta",
+                            rng=np.random.default_rng(hops))
+        subs = assert_batch_matches_per_pair(batch, graphs, mats, hops)
+        for sub, (da, ca, db, cb, lam) in zip(subs, batch.provenance):
+            feats, edges, _ = mix_reference(
+                extract_ego(graphs[da], ca, hops, mats[da]),
+                extract_ego(graphs[db], cb, hops, mats[db]),
+                lam, 2,
+            )
+            np.testing.assert_array_equal(sub.features, feats)
+            assert [tuple(e) for e in sub.edges.tolist()] == edges
+
+
+def test_mix_adjacent_centers_collapse_their_edge():
+    # triangle 0-1-2 plus leaf 3 on node 1; egos at 0 and 1 (adjacent)
+    feats = np.arange(8.0).reshape(4, 2)
+    g = build_domain_graph([(0, 1), (1, 2), (0, 2), (1, 3)], feats, domain_id=0)
+    a, b = extract_ego(g, 0, 1), extract_ego(g, 1, 1)
+    mixed = mix_subgraphs(a, b, 0.25, num_domains=1)
+    # locals: merged {0, 1}, then 2 (shared), then 3 (new from b); the
+    # center-center edge 0-1 folds into node 0 and is dropped
+    assert mixed.node_origins == [(0, 1), (2, 2), (None, 3)]
+    assert mixed.edges.tolist() == [[0, 1], [0, 2]]
+    np.testing.assert_array_equal(mixed.features[0], 0.25 * feats[0] + 0.75 * feats[1])
+    np.testing.assert_array_equal(mixed.features[1:], feats[[2, 3]])
+    from domainmix.mixing import NodePair
+
+    batch = build_batch([], [NodePair(0, 0, 0, 1, 0.0)], [g], [wrap(feats)], hops=1, lam=0.25)
+    assert_batch_matches_per_pair(batch, [g], [feats], 1)
+    assert batch.num_nodes.tolist() == [3] and batch.num_edges.tolist() == [2]
+
+
+def test_mix_far_center_inside_ego_a_folds_into_the_merged_node():
+    # path 0-1-2-3-4: the 2-hop ego of 0 reaches 2, the center of sub_b,
+    # which is not adjacent to 0; both centers still fold into node 0
+    feats = np.arange(10.0).reshape(5, 2)
+    g = build_domain_graph([(0, 1), (1, 2), (2, 3), (3, 4)], feats, domain_id=0)
+    a, b = extract_ego(g, 0, 2), extract_ego(g, 2, 1)
+    mixed = mix_subgraphs(a, b, 0.5, num_domains=1)
+    assert mixed.node_origins == [(0, 2), (1, 1), (None, 3)]
+    assert mixed.edges.tolist() == [[0, 1], [0, 2]]
+    feats_ref, edges_ref, origins_ref = mix_reference(a, b, 0.5, 1)
+    np.testing.assert_array_equal(mixed.features, feats_ref)
+    assert mixed.node_origins == origins_ref
+    assert [tuple(e) for e in mixed.edges.tolist()] == edges_ref
+
+
+def test_pretrain_builds_no_per_pair_mix_and_no_union(monkeypatch):
+    import domainmix
+    from domainmix.config import RunConfig
+    from domainmix.nn import pretrain
+    from domainmix.pipeline import prepare
+    from domainmix.synth import SynthSpec, make_synth
+
+    graphs, _, _ = make_synth(SynthSpec(K=2, nodes_per_domain=60), 3)
+    cfg = RunConfig(seed=3, pca_dim=8, hidden=8, n_pairs=6, epochs_pre=3, gamma=0.0).validate()
+    aligned, _, bsets = prepare(graphs, cfg)
+    _, want = pretrain(graphs, aligned, bsets, cfg)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pre-training called a per-pair path")
+
+    for module in [m for name, m in list(sys.modules.items()) if name.split(".")[0] == "domainmix"]:
+        for attr in ("mix_subgraphs", "graph_union"):
+            if hasattr(module, attr):
+                monkeypatch.setattr(module, attr, refuse)
+    assert domainmix.mixing.mix_subgraphs is refuse
+    _, got = pretrain(graphs, aligned, bsets, cfg)
+    assert got == want

@@ -8,7 +8,7 @@ from domainmix.autodiff import Tensor, parameter
 from domainmix.boundary import select_boundaries
 from domainmix.config import RunConfig
 from domainmix.errors import NonFiniteGradientError, ValidationError
-from domainmix.graphs import build_domain_graph
+from domainmix.graphs import build_domain_graph, graph_union
 from domainmix.mixing import MixBatch, MixedSubgraph
 from domainmix.nn import (
     ModelState,
@@ -44,6 +44,18 @@ def single_node_sub(feat, domain=0, num_domains=2, coarse=1):
         mix_label=label,
         provenance=(domain, 0, domain, 0, 0.5),
         node_origins=[(0, 0)],
+    )
+
+
+def batch_of(subs):
+    """A MixBatch of ready mixed subgraphs, in the given order."""
+    return MixBatch(
+        union=graph_union(subs),
+        coarse_labels=np.array([s.coarse_label for s in subs]),
+        mix_labels=np.array([s.mix_label for s in subs]),
+        provenance=[s.provenance for s in subs],
+        num_nodes=np.array([s.num_nodes for s in subs]),
+        num_edges=np.array([len(s.edges) for s in subs]),
     )
 
 
@@ -301,7 +313,7 @@ def test_loss_pretrain_all_gates_closed():
     # push the inter logit far down so every gate stays closed
     state.params["disc.b"].data[:] = np.array([20.0, 0.0])
     subs = [single_node_sub(rng.normal(size=3), coarse=c) for c in (1, 0)]
-    batch = MixBatch(inter=[subs[0]], intra=[subs[1]])
+    batch = batch_of(subs)
     total, parts = loss_pretrain(batch, state)
     assert parts["gate_fraction"] == 0.0
     assert total.item() == pytest.approx(parts["loss_dis"], abs=1e-15)
@@ -331,7 +343,7 @@ def test_loss_pretrain_gradient_vs_fd():
                 node_origins=[(j, j) for j in range(3)],
             )
         )
-    batch = MixBatch(inter=subs[::2], intra=subs[1::2])
+    batch = batch_of(subs[::2] + subs[1::2])
     total, _ = loss_pretrain(batch, state, beta=1.0)
     for p in state.params.values():
         p.zero_grad()
@@ -500,9 +512,11 @@ def test_encode_nodes_validates_ids():
 
 def fd_style_batch(seed):
     """A small real batch: boundary-top inter pairs and intra pairs of two
-    synthetic domains, mixed from 1-hop egos."""
+    synthetic domains, mixed from 1-hop egos; returned with the same
+    subgraphs mixed one pair at a time."""
     from domainmix.align import align_graphs as align
-    from domainmix.mixing import build_batch, sample_intra_pairs, select_pairs
+    from domainmix.graphs import extract_ego
+    from domainmix.mixing import build_batch, mix_subgraphs, sample_intra_pairs, select_pairs
     from domainmix.synth import SynthSpec, make_synth
 
     spec = SynthSpec(K=2, nodes_per_domain=40, classes_per_domain=2, feature_dim=10)
@@ -511,12 +525,17 @@ def fd_style_batch(seed):
     bsets = select_boundaries(aligned, centers, 0.4)
     inter = select_pairs(bsets, aligned, 0.0, 4, rng_seed=seed)
     intra = sample_intra_pairs([np.arange(g.num_nodes) for g in sources], 4, 2, rng_seed=seed)
-    return build_batch(inter, intra, sources, aligned, hops=1)
+    egos = [
+        (extract_ego(sources[p.domain_a], p.node_a, 1, aligned[p.domain_a]),
+         extract_ego(sources[p.domain_b], p.node_b, 1, aligned[p.domain_b]))
+        for p in inter + intra
+    ]
+    subs = [mix_subgraphs(a, b, 0.5, num_domains=2) for a, b in egos]
+    return build_batch(inter, intra, sources, aligned, hops=1), subs
 
 
-def per_subgraph_loss(batch, state, beta):
+def per_subgraph_loss(subs, state, beta):
     """The pre-training loss one subgraph at a time, with the list forms."""
-    subs = batch.subgraphs
     pooled = [mean_pool(gcn_encode(s, state)) for s in subs]
     probs = [discriminate(h, state) for h in pooled]
     mask = gate_mask(probs)
@@ -529,19 +548,19 @@ def per_subgraph_loss(batch, state, beta):
 
 def test_loss_pretrain_union_matches_per_subgraph_reference():
     for seed, beta in ((31, 1.0), (32, 0.5), (33, -1.0)):
-        batch = fd_style_batch(seed)
+        batch, subs = fd_style_batch(seed)
         ref_state = init_model(8, 8, 2, seed=seed)
         # centre the inter logit on this batch so about half the gates open
-        pooled = np.stack([mean_pool(gcn_encode(s, ref_state)).data for s in batch.subgraphs])
+        pooled = np.stack([mean_pool(gcn_encode(s, ref_state)).data for s in subs])
         margin = pooled @ ref_state.params["disc.w"].data
         ref_state.params["disc.b"].data[:] = (0.0, -np.median(margin[:, 1] - margin[:, 0]))
         state = init_model(8, 8, 2, seed=seed)
         state.load_data(ref_state.data_dict())
 
-        want, mask = per_subgraph_loss(batch, ref_state, beta)
+        want, mask = per_subgraph_loss(subs, ref_state, beta)
         got, parts = loss_pretrain(batch, state, beta=beta)
         assert 0 < mask.sum() < len(mask)
-        inter = np.array([s.coarse_label for s in batch.subgraphs]) == 1
+        inter = np.array([s.coarse_label for s in subs]) == 1
         assert parts["gate_fraction"] == mask[inter].mean()
         assert got.item() == pytest.approx(want.item(), abs=1e-12)
         want.backward()
@@ -554,12 +573,10 @@ def test_loss_pretrain_union_matches_per_subgraph_reference():
 
 
 def test_encode_union_gradient_vs_fd():
-    from domainmix.graphs import graph_union
     from domainmix.nn import encode_union
 
     rng = np.random.default_rng(44)
-    batch = fd_style_batch(31)
-    union = graph_union(batch.subgraphs)
+    union = fd_style_batch(31)[0].union
     state = init_model(8, 8, 2, seed=44)
     prompt = parameter(rng.uniform(0.5, 1.5, size=8))
     weights = Tensor(rng.normal(size=(union.num_graphs, 8)))
