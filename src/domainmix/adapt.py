@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from .align import as_array
 from .autodiff import Tensor, as_tensor, einsum, parameter, spmm, stack
 from .errors import EncoderMutatedError, ValidationError
-from .graphs import extract_ego, graph_union
+from .graphs import extract_egos, graph_union
 from .nn import PROB_FLOOR, _restriction, encode_nodes, encode_union
 from .optim import Adam
 
@@ -104,7 +104,7 @@ def _embed_items(state, graph, aligned_matrix, p_mix, items, mode, hops):
         nodes = np.array([int(node) for node, _ in items])
         h = encode_nodes(graph, apply_prompt(aligned_matrix, p_mix), state, nodes)
     else:
-        union = graph_union([extract_ego(graph, int(node), hops, aligned_matrix) for node, _ in items])
+        union = graph_union(extract_egos(graph, [node for node, _ in items], hops, aligned_matrix))
         h = encode_union(union, state, apply_prompt(union.ax, p_mix))
     return [h[i] for i in range(len(items))]
 
@@ -168,10 +168,10 @@ class _Episodes:
     the projections Y_k = (A_hat X * c_k) W1.
 
     A_hat X is propagated once: over the target graph for node tasks, and
-    over the union of each graph task's support and query egos, so each
-    ego is extracted once. Items embed as rows0 @ relu(sum_k alpha_k
-    Y_k[cols]) @ W2, with rows0 their second-propagation (node) or pooling
-    (graph) rows over ``cols``.
+    over one union of the egos of all graph tasks' support and query
+    nodes, each ego extracted once. Items embed as rows0 @ relu(sum_k
+    alpha_k Y_k[cols]) @ W2, with rows0 their second-propagation (node)
+    or pooling (graph) rows over ``cols``.
     """
 
     def __init__(self, state, target, target_aligned, centers, tasks, config):
@@ -183,17 +183,16 @@ class _Episodes:
             _checked_labels(task.support, task.num_classes)
         self.target, self.tasks, self.config = target, tasks, config
         matrix = as_array(target_aligned, "matrix")
-        pieces, self._pools, self._node_offset = [], {}, None
-        for r, task in enumerate(tasks):
-            offset = sum(len(p) for p in pieces)
-            if task.mode != "node":
-                items = task.support + task.query
-                union = graph_union([extract_ego(target, int(n), config.hops, matrix) for n, _ in items])
-                self._pools[r] = (union.pool_a, offset)
-                pieces.append(union.ax)
-            elif self._node_offset is None:
-                self._node_offset = offset
-                pieces.append(target.a_hat @ matrix)
+        nodes = [int(n) for t in tasks if t.mode != "node" for n, _ in t.support + t.query]
+        self._ego_nodes, pieces = np.unique(nodes), []
+        if any(t.mode == "node" for t in tasks):
+            pieces.append(target.a_hat @ matrix)
+        self._ego_offset = sum(len(p) for p in pieces)
+        if nodes:
+            egos = extract_egos(target, self._ego_nodes, config.hops, matrix)
+            union = graph_union(egos)
+            self._pool_a, self._sizes = union.pool_a, np.array([e.num_nodes for e in egos])
+            pieces.append(union.ax)
         self.ax = np.concatenate(pieces)
         self.centers = np.stack([as_array(c, "vector") for c in centers])
         self.w1 = state.params["encoder.w1"].data
@@ -208,16 +207,22 @@ class _Episodes:
             task = self.tasks[r]
             if task.mode == "node":
                 nodes = np.array([int(n) for n, _ in (task.support + task.query)[:count]])
-                rows0, cols = _restriction(self.target, nodes)
-                blocks.append((rows0, cols + self._node_offset))
+                blocks.append(_restriction(self.target, nodes))
             else:
-                pool_a, offset = self._pools[r]
-                cols = np.unique(pool_a[:count].indices)
-                blocks.append((pool_a[:count][:, cols], cols + offset))
+                blocks.append(self._pool_rows([n for n, _ in (task.support + task.query)[:count]]))
         owner = np.repeat(np.arange(len(blocks)), [len(cols) for _, cols in blocks])
         cols = np.concatenate([cols for _, cols in blocks])
         y = (self.ax[cols][None, :, :] * self.centers[:, None, :]) @ self.w1
         return owner, Tensor(y), sp.block_diag([rows0 for rows0, _ in blocks], format="csr")
+
+    def _pool_rows(self, nodes):
+        """The pooling rows of the (distinct) ``nodes``' egos over their
+        rows of ``ax``: each ego's block, in the order of ``nodes``."""
+        egos = np.searchsorted(self._ego_nodes, nodes)
+        sizes = self._sizes[egos]
+        starts = (np.cumsum(self._sizes) - self._sizes)[egos]
+        cols = np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        return self._pool_a[egos][:, cols], cols + self._ego_offset
 
     def _embed(self, alpha: Tensor, layout) -> Tensor:
         owner, y, rows0 = layout

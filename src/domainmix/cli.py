@@ -85,10 +85,6 @@ def _build_spec(args) -> SynthSpec:
     return SynthSpec(**overrides).validate()
 
 
-def _load_data(args):
-    return load_synth_dir(args.data)
-
-
 def _require_file(path, what: str) -> Path:
     p = Path(path)
     if not p.is_file():
@@ -123,7 +119,7 @@ def cmd_gen_synth(args) -> int:
 
 def cmd_align(args) -> int:
     cfg = _build_config(args)
-    sources, _, _ = _load_data(args)
+    sources, _, _ = load_synth_dir(args.data)
     aligned, centers = align_graphs(sources, cfg.pca_dim, scale=cfg.scale_features)
     out = _out_dir(args)
     for feats in aligned:
@@ -135,7 +131,7 @@ def cmd_align(args) -> int:
 
 def cmd_boundaries(args) -> int:
     cfg = _build_config(args)
-    sources, _, _ = _load_data(args)
+    sources, _, _ = load_synth_dir(args.data)
     _, _, boundary_sets = prepare(sources, cfg)
     payload = {
         str(bs.domain_id): {
@@ -154,7 +150,7 @@ def cmd_boundaries(args) -> int:
 
 def cmd_mix(args) -> int:
     cfg = _build_config(args)
-    sources, _, _ = _load_data(args)
+    sources, _, _ = load_synth_dir(args.data)
     aligned, _, boundary_sets = prepare(sources, cfg)
     batch = epoch_batches(sources, aligned, boundary_sets, cfg)(0)
     out = _out_dir(args)
@@ -181,7 +177,7 @@ def cmd_mix(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _build_config(args)
-    sources, _, _ = _load_data(args)
+    sources, _, _ = load_synth_dir(args.data)
     aligned, _, boundary_sets = prepare(sources, cfg)
     state, history = pretrain(sources, aligned, boundary_sets, cfg)
     out = _out_dir(args)
@@ -199,7 +195,7 @@ def cmd_pretrain(args) -> int:
 
 
 def _target_setup(args, cfg):
-    sources, target, _ = _load_data(args)
+    sources, target, _ = load_synth_dir(args.data)
     if target is None:
         raise ValidationError(f"data directory {args.data} has no target domain")
     _, centers, _ = prepare(sources, cfg)
@@ -242,7 +238,7 @@ def cmd_eval(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg = _build_config(args)
-    sources, _, _ = _load_data(args)
+    sources, _, _ = load_synth_dir(args.data)
     aligned, centers, boundary_sets = prepare(sources, cfg)
     if args.model:
         state = _load_model(args, cfg, len(sources))
@@ -274,7 +270,7 @@ def _parse_ints(text: str):
 
 def cmd_redundancy(args) -> int:
     cfg = _build_config(args)
-    sources, target, _ = _load_data(args)
+    sources, target, _ = load_synth_dir(args.data)
     if target is None:
         raise ValidationError(f"data directory {args.data} has no target domain")
     rows = redundancy_experiment(sources, target, cfg, args.fractions, args.seeds)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .boundary import center_distances
 from .errors import ValidationError
-from .graphs import EgoSubgraph, block_union, extract_ego, graph_union
+from .graphs import EgoSubgraph, block_union, extract_egos, graph_union
 from .mixing import mix_pairs
 from .nn import ModelState, encode_union, init_model
 from .optim import Adam
@@ -226,7 +226,7 @@ def ambiguity_probe(
                  "boundary": boundary_sets[k].node_ids}
         for name, nodes in picks.items():
             subs, labels = pools[name]
-            subs.extend(extract_ego(graph, int(node), hops, feats) for node in nodes)
+            subs.extend(extract_egos(graph, nodes, hops, feats))
             labels.extend([k] * len(nodes))
 
     probe = init_model(aligned[0].d, config.hidden, len(graphs), seed=sub_seed(seed, "probe-init"))
@@ -303,7 +303,7 @@ def compute_diagnostics(
     subs = []
     for graph, feats in zip(graphs, aligned):
         picks = rng.choice(graph.num_nodes, size=min(n_sample, graph.num_nodes), replace=False)
-        subs.extend(extract_ego(graph, int(c), config.hops, feats) for c in picks)
+        subs.extend(extract_egos(graph, picks, config.hops, feats))
     ovlp = max_overlap(subs)
     dmax = kappa * ovlp
     n = max(1, 2 * config.n_pairs)

@@ -154,54 +154,64 @@ class EgoSubgraph:
 
 
 def extract_ego(graph: DomainGraph, center: int, hops: int, features=None) -> EgoSubgraph:
-    """BFS out to ``hops`` hops and keep the induced subgraph.
+    """The induced subgraph within ``hops`` hops of one center (extract_egos)."""
+    return extract_egos(graph, [center], hops, features)[0]
 
-    ``features`` defaults to the graph's raw features; pass an aligned
-    matrix (or anything with a ``.matrix`` attribute) to use it instead.
-    """
-    if not 0 <= center < graph.num_nodes:
-        raise ValidationError(
-            f"center {center} out of range for {graph.num_nodes} nodes"
-        )
+
+def extract_egos(graph: DomainGraph, centers, hops: int, features=None) -> list[EgoSubgraph]:
+    """The ego of every center, in order (repeats allowed), in one array
+    pass over sorted (ego, node) codes ego * num_nodes + node: a frontier
+    expansion per hop, then one lookup keeps the induced edges. Memory
+    grows with the egos' total size. ``features`` defaults to the graph's
+    raw features; pass an aligned matrix (or anything with a ``.matrix``
+    attribute) to use it instead."""
+    n = graph.num_nodes
+    centers = np.asarray(centers, dtype=np.int64).reshape(-1)
+    bad = (centers < 0) | (centers >= n)
+    if bad.any():
+        raise ValidationError(f"center {centers[np.argmax(bad)]} out of range for {n} nodes")
     if hops < 0:
         raise ValidationError(f"hops must be >= 0, got {hops}")
-
     features = as_array(graph.features_raw if features is None else features, "matrix")
 
-    reached = np.zeros(graph.num_nodes, dtype=bool)
-    reached[center] = True
-    frontier = np.array([center], dtype=np.int64)
+    reached = frontier = codes = np.arange(len(centers)) * n + centers
     for _ in range(hops):
-        _, nbrs = _adjacent(graph, frontier)
-        frontier = np.unique(nbrs[~reached[nbrs]])
-        if len(frontier) == 0:
-            break
-        reached[frontier] = True
-    nodes_global = np.flatnonzero(reached)
+        found = np.unique(_adjacent(graph, frontier)[1])
+        at = np.searchsorted(reached, found).clip(max=len(reached) - 1)
+        frontier = found[reached[at] != found]
+        reached = np.sort(np.concatenate([reached, frontier]))
 
-    # rows come out in ascending node order and CSR lists are sorted, so
-    # the induced edges are already lexicographic in local ids
-    src, dst = _adjacent(graph, nodes_global)
-    keep = reached[dst] & (src < dst)
-    edges = np.column_stack(
-        [np.searchsorted(nodes_global, src[keep]), np.searchsorted(nodes_global, dst[keep])]
-    ).astype(np.int64)
-    return EgoSubgraph(
-        source_domain=graph.domain_id,
-        center_global=int(center),
-        center_local=int(np.searchsorted(nodes_global, center)),
-        nodes_global=nodes_global,
-        edges=edges,
-        features=features[nodes_global],
-    )
+    # codes ascend and CSR lists are sorted, so each ego's induced edges
+    # come out lexicographic in local ids, ego after ego
+    src, dst = _adjacent(graph, reached)
+    forward = reached[src] < dst
+    at = np.searchsorted(reached, dst[forward]).clip(max=len(reached) - 1)
+    inside = reached[at] == dst[forward]
+    src, dst = src[forward][inside], at[inside]
+    owner = reached // n
+    starts = np.searchsorted(owner, np.arange(len(centers)))
+    edges = np.column_stack([src, dst]) - starts[owner[src], None]
+    nodes, ends = reached % n, np.searchsorted(owner[src], np.arange(1, len(centers)))
+    return [
+        EgoSubgraph(graph.domain_id, *ego)
+        for ego in zip(
+            centers.tolist(),
+            (np.searchsorted(reached, codes) - starts).tolist(),
+            np.split(nodes, starts[1:]),
+            np.split(edges, ends),
+            np.split(features[nodes], starts[1:]),
+        )
+    ]
 
 
-def _adjacent(graph: DomainGraph, nodes: np.ndarray):
-    """Every (node, neighbor) pair of ``nodes``, as two arrays in CSR order."""
-    starts = graph.row_offsets[nodes]
-    counts = graph.row_offsets[nodes + 1] - starts
-    within = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
-    return np.repeat(nodes, counts), graph.col_targets[np.repeat(starts, counts) + within]
+def _adjacent(graph: DomainGraph, codes: np.ndarray):
+    """Every (code, neighbor) pair of (ego, node) codes, as the code's
+    position and the neighbor's code, in CSR order."""
+    nodes = codes % graph.num_nodes
+    counts = graph.row_offsets[nodes + 1] - graph.row_offsets[nodes]
+    at = np.repeat(np.arange(len(codes)), counts)
+    slots = np.arange(len(at)) + (graph.row_offsets[nodes] - np.cumsum(counts) + counts)[at]
+    return at, (codes - nodes)[at] + graph.col_targets[slots]
 
 
 def normalized_adjacency(num_nodes: int, edges) -> sp.csr_matrix:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .align import as_array
 from .errors import NoMixablePairsError, ValidationError
-from .graphs import SubgraphUnion, block_union, extract_ego
+from .graphs import SubgraphUnion, block_union, extract_egos
 from .seeding import sub_seed
 
 # the mixing weight of lambda mode "fixed"
@@ -162,8 +162,11 @@ def select_pairs(
         take = min(n_pairs, len(sim))
         keep = np.sort(rng.choice(len(sim), size=take, replace=False))
     else:
-        # best-first; ties by (domain_a, node_a, domain_b, node_b)
-        keep = np.lexsort((nb, db, na, da, -sim))[:n_pairs]
+        # best-first; ties by (domain_a, node_a, domain_b, node_b). Only pairs
+        # at least as similar as the n-th best can be chosen, so sort just those
+        cut = np.partition(sim, max(len(sim) - n_pairs, 0))[max(len(sim) - n_pairs, 0)]
+        top = np.flatnonzero(sim >= cut)
+        keep = top[np.lexsort((nb[top], db[top], na[top], da[top], -sim[top]))[:n_pairs]]
     chosen = [
         NodePair(int(da[i]), int(na[i]), int(db[i]), int(nb[i]), float(sim[i]))
         for i in keep
@@ -379,9 +382,10 @@ def build_batch(
     mats = [as_array(a, "matrix") for a in aligned]
     egos = {} if egos is None else egos
     ends = [(p.domain_a, p.node_a) for p in pairs] + [(p.domain_b, p.node_b) for p in pairs]
-    for k, node in ends:
-        if (k, node) not in egos:
-            egos[k, node] = extract_ego(graphs[k], node, hops, mats[k])
+    missing = sorted({end for end in ends if end not in egos})
+    for k in {k for k, _ in missing}:
+        keys = [end for end in missing if end[0] == k]
+        egos.update(zip(keys, extract_egos(graphs[k], [n for _, n in keys], hops, mats[k])))
     subs_a = [egos[end] for end in ends[: len(pairs)]]
     subs_b = [egos[end] for end in ends[len(pairs) :]]
     features, sizes, edges, _, _ = mix_pairs(subs_a, subs_b, lams)

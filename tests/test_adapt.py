@@ -492,3 +492,99 @@ def test_adapt_episodes_raises_typed_error_when_encoder_changes(monkeypatch):
     tasks = episode_tasks(graph, 1, "node", 3)
     with pytest.raises(EncoderMutatedError, match="encoder.w2"):
         adapt_episodes(state, graph, feats, centers, tasks, adapt_config(steps_adapt=2))
+
+
+def test_graph_episodes_extract_each_ego_once(monkeypatch):
+    adapt_module = importlib.import_module("domainmix.adapt")
+    real = adapt_module.extract_egos
+    calls = []
+
+    def counting(graph, centers, hops, features=None):
+        calls.extend(int(c) for c in centers)
+        return real(graph, centers, hops, features)
+
+    monkeypatch.setattr(adapt_module, "extract_egos", counting)
+    graph, feats, centers = separable_target(seed=8)
+    state = init_model(6, 8, 2, seed=8)
+    tasks = episode_tasks(graph, 2, "graph", 5, seed=40)
+    items = [n for t in tasks for n, _ in t.support + t.query]
+    assert len(set(items)) < len(items), "no item shared between tasks"
+    cfg = adapt_config(mode="graph", shots=2, steps_adapt=3)
+    adapt_module.adapt_episodes(state, graph, feats, centers, tasks, cfg)
+    assert sorted(calls) == sorted(set(items))
+
+
+class PerTaskUnionEpisodes(importlib.import_module("domainmix.adapt")._Episodes):
+    """The episodes laid out as before graph tasks shared one union: each
+    graph task propagates over its own union of its support and query
+    egos, extracted one at a time."""
+
+    def __init__(self, state, target, target_aligned, centers, tasks, config):
+        from domainmix.graphs import extract_ego, graph_union
+
+        self.target, self.tasks, self.config = target, tasks, config
+        matrix = np.asarray(target_aligned, dtype=np.float64)
+        pieces, self._pools, self._node_offset = [], {}, None
+        for r, task in enumerate(tasks):
+            offset = sum(len(p) for p in pieces)
+            if task.mode != "node":
+                items = task.support + task.query
+                union = graph_union([extract_ego(target, int(n), config.hops, matrix) for n, _ in items])
+                self._pools[r] = (union.pool_a, offset)
+                pieces.append(union.ax)
+            elif self._node_offset is None:
+                self._node_offset = offset
+                pieces.append(target.a_hat @ matrix)
+        self.ax = np.concatenate(pieces)
+        self.centers = np.stack([c.vector for c in centers])
+        self.w1 = state.params["encoder.w1"].data
+        self.w2 = Tensor(state.params["encoder.w2"].data)
+
+    def _layout(self, parts):
+        import scipy.sparse as sp
+
+        from domainmix.nn import _restriction
+
+        blocks = []
+        for r, count in parts:
+            task = self.tasks[r]
+            if task.mode == "node":
+                nodes = np.array([int(n) for n, _ in (task.support + task.query)[:count]])
+                rows0, cols = _restriction(self.target, nodes)
+                blocks.append((rows0, cols + self._node_offset))
+            else:
+                pool_a, offset = self._pools[r]
+                cols = np.unique(pool_a[:count].indices)
+                blocks.append((pool_a[:count][:, cols], cols + offset))
+        owner = np.repeat(np.arange(len(blocks)), [len(cols) for _, cols in blocks])
+        cols = np.concatenate([cols for _, cols in blocks])
+        y = (self.ax[cols][None, :, :] * self.centers[:, None, :]) @ self.w1
+        return owner, Tensor(y), sp.block_diag([rows0 for rows0, _ in blocks], format="csr")
+
+
+@pytest.mark.parametrize("hops", [1, 2])
+def test_shared_ego_union_matches_per_task_union_reference(hops):
+    from domainmix.adapt import adapt_episodes
+
+    graph, feats, centers = separable_target(seed=11 + hops)
+    # relabel the nodes at random, so a task's items (class by class) are
+    # not in node order and the union's block order differs from theirs
+    perm = np.random.default_rng(hops).permutation(graph.num_nodes)
+    feats = feats[np.argsort(perm)]
+    graph = build_domain_graph(perm[graph.edge_array()], feats, labels=graph.labels[np.argsort(perm)])
+    state = init_model(6, 8, 2, seed=hops)
+    cfg = adapt_config(hops=hops, steps_adapt=15, lr_down=2e-2, tau=0.5)
+    rng = np.random.default_rng(hops)
+    # unequal support and query sizes, one node task among graph tasks
+    tasks = [
+        sample_task(graph.labels, 1, rng, mode="graph"),
+        sample_task(graph.labels, 3, rng, mode="graph", query_limit=7),
+        sample_task(graph.labels, 2, rng, mode="node", query_limit=12),
+        sample_task(graph.labels, 2, rng, mode="graph", query_limit=12),
+    ]
+    alphas, histories, accuracies = adapt_episodes(state, graph, feats, centers, tasks, cfg)
+    reference = PerTaskUnionEpisodes(state, graph, feats, centers, tasks, cfg)
+    want_alphas, want_histories = reference.fit()
+    np.testing.assert_array_equal(alphas, want_alphas)
+    np.testing.assert_array_equal(histories, want_histories)
+    np.testing.assert_array_equal(accuracies, reference.accuracies(want_alphas))

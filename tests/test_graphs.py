@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from domainmix.errors import GraphFormatError, ValidationError
-from domainmix.graphs import build_domain_graph, drop_nodes, extract_ego, load_graph
+from domainmix.align import AlignedFeatures
+from domainmix.graphs import (
+    build_domain_graph,
+    drop_nodes,
+    extract_ego,
+    extract_egos,
+    load_graph,
+)
 from domainmix.io import write_edge_list, write_matrix
 
 
@@ -145,6 +152,73 @@ def test_ego_center_out_of_range():
     g = build_domain_graph([(0, 1)], np.zeros((2, 1)))
     with pytest.raises(ValidationError):
         extract_ego(g, 5, 1)
+
+
+def assert_egos_match_one_by_one(graph, centers, hops, features=None):
+    """extract_egos over ``centers`` equals extract_ego center by center."""
+    got = extract_egos(graph, centers, hops, features)
+    assert len(got) == len(centers)
+    for ego, center in zip(got, centers):
+        want = extract_ego(graph, int(center), hops, features)
+        for field in ("nodes_global", "edges", "features"):
+            a, b = getattr(ego, field), getattr(want, field)
+            assert a.dtype == b.dtype and a.shape == b.shape, field
+            np.testing.assert_array_equal(a, b, err_msg=field)
+        assert ego.center_local == want.center_local
+        assert ego.center_global == want.center_global == int(center)
+        assert ego.source_domain == want.source_domain == graph.domain_id
+
+
+def test_extract_egos_matches_extract_ego_on_random_graphs():
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        n = int(rng.integers(2, 40))
+        g = random_graph(rng, n, float(rng.uniform(0.02, 0.3)), domain_id=trial % 3)
+        centers = rng.integers(0, n, size=int(rng.integers(1, 15)))
+        for hops in range(4):
+            assert_egos_match_one_by_one(g, centers, hops)
+
+
+def test_extract_egos_isolated_nodes_and_no_edges():
+    rng = np.random.default_rng(24)
+    empty = build_domain_graph(np.empty((0, 2)), rng.normal(size=(6, 3)))
+    assert_egos_match_one_by_one(empty, [5, 0, 3], 2)
+    assert all(e.edges.shape == (0, 2) for e in extract_egos(empty, [5, 0, 3], 2))
+    # nodes 3 and 6 are isolated next to a path and a triangle
+    g = build_domain_graph([(0, 1), (1, 2), (4, 5), (5, 7), (4, 7)], rng.normal(size=(8, 3)))
+    assert_egos_match_one_by_one(g, [3, 0, 6, 4, 7, 3], 1)
+    assert_egos_match_one_by_one(g, [6, 2], 3)
+
+
+def test_extract_egos_repeated_and_unsorted_centers():
+    rng = np.random.default_rng(25)
+    g = random_graph(rng, 30, 0.12, domain_id=2)
+    centers = [17, 3, 17, 29, 0, 3, 3, 11]
+    for hops in (1, 2):
+        assert_egos_match_one_by_one(g, centers, hops)
+        egos = extract_egos(g, centers, hops)
+        assert [e.center_global for e in egos] == centers
+        np.testing.assert_array_equal(egos[0].nodes_global, egos[2].nodes_global)
+
+
+def test_extract_egos_wrapped_features():
+    rng = np.random.default_rng(26)
+    g = random_graph(rng, 25, 0.15)
+    aligned = AlignedFeatures(0, rng.normal(size=(25, 7)), 7)
+    assert_egos_match_one_by_one(g, [4, 20, 4, 9], 2, features=aligned)
+    ego = extract_egos(g, [9], 2, features=aligned)[0]
+    np.testing.assert_array_equal(ego.features, aligned.matrix[ego.nodes_global])
+
+
+def test_extract_egos_rejects_bad_center_and_hops():
+    g = build_domain_graph([(0, 1), (1, 2)], np.zeros((3, 2)))
+    with pytest.raises(ValidationError, match="center 3 out of range"):
+        extract_egos(g, [0, 3, 1], 1)
+    with pytest.raises(ValidationError, match="center -1 out of range"):
+        extract_egos(g, [2, -1], 1)
+    with pytest.raises(ValidationError, match="hops must be >= 0"):
+        extract_egos(g, [0, 1], -1)
+    assert extract_egos(g, [], 2) == []
 
 
 def test_drop_nodes_keeps_induced_structure():

@@ -408,6 +408,45 @@ def test_select_pairs_top_matches_full_sort_with_ties():
             ], (trial, n)
 
 
+def full_sort_top_pairs(sets, mats, gamma, n):
+    """boundary-top by the full definition: every qualifying pair, sorted
+    by (-similarity, domain_a, node_a, domain_b, node_b), first n kept."""
+    from domainmix.mixing import _cosine_matrix
+
+    columns = []
+    for ka in range(len(mats)):
+        for kb in range(ka + 1, len(mats)):
+            ia, ib = sets[ka].node_ids, sets[kb].node_ids
+            sims = _cosine_matrix(mats[ka][ia], mats[kb][ib])
+            r, c = np.nonzero(sims > gamma)
+            columns.append((sims[r, c], np.full(len(r), ka), ia[r], np.full(len(r), kb), ib[c]))
+    sim, da, na, db, nb = (np.concatenate(col) for col in zip(*columns))
+    order = np.lexsort((nb, db, na, da, -sim))[:n]
+    return [(float(sim[i]), int(da[i]), int(na[i]), int(db[i]), int(nb[i])) for i in order], len(sim)
+
+
+def test_select_pairs_top_keeps_every_tie_at_the_cut():
+    rng = np.random.default_rng(35)
+    cuts_inside_ties = 0
+    for trial in range(4):
+        # three distinct directions, each row repeated many times, so whole
+        # groups of pairs share the similarity at the cut
+        base = lattice(rng, (3, 4))
+        mats = [base[rng.integers(0, 3, size=30)] for _ in range(3)]
+        sets = [bset(k, rng.choice(30, size=18, replace=False)) for k in range(3)]
+        ranked, qualifying = full_sort_top_pairs(sets, mats, 0.05, 10**6)
+        for n in (1, 5, 37, 100, 250, 700, 10**4):
+            want = ranked[:n]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                got = select_pairs(sets, [wrap(m, k) for k, m in enumerate(mats)], 0.05, n)
+            assert [(p.similarity, p.domain_a, p.node_a, p.domain_b, p.node_b) for p in got] == want
+            assert len(caught) == (n > qualifying), (trial, n)
+            # the n-th and (n+1)-th best tie: the cut splits a tie group
+            cuts_inside_ties += n < qualifying and ranked[n][0] == ranked[n - 1][0]
+    assert cuts_inside_ties >= 10
+
+
 def combinations_reference(pools, n_pairs, num_domains, rng_seed):
     """The enumerate-then-draw definition of sample_intra_pairs."""
     from itertools import combinations
@@ -513,13 +552,13 @@ def test_epoch_batches_extract_each_ego_once(monkeypatch):
         aligned.append(wrap(feats, k))
     sets = [bset(k, range(20)) for k in range(2)]
     calls = []
-    real = mixing_module.extract_ego
+    real = mixing_module.extract_egos
 
-    def counting(graph, center, hops, features=None):
-        calls.append((graph.domain_id, int(center)))
-        return real(graph, center, hops, features)
+    def counting(graph, centers, hops, features=None):
+        calls.extend((graph.domain_id, int(center)) for center in centers)
+        return real(graph, centers, hops, features)
 
-    monkeypatch.setattr(mixing_module, "extract_ego", counting)
+    monkeypatch.setattr(mixing_module, "extract_egos", counting)
     cfg = RunConfig(seed=2, pca_dim=4, n_pairs=6, gamma=0.0, intra_pool="all").validate()
     batch = mixing_module.epoch_batches(graphs, aligned, sets, cfg)
     used = set()

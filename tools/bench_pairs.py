@@ -15,7 +15,12 @@ difference can be told from noise: ``spread_exceeds_bound`` is true when
 the base's quartile spread is wider than the metric's bound times the
 base median (a worse median is then "unresolved" rather than "unchanged"),
 and ``all_change_better`` is true when every working-tree run beats every
-base run (which settles the metric even then).
+base run (which settles the metric even then). Two more say whether a
+claim holds: ``gain_shown`` is true when the working tree wins at least
+9 of 10 pairs and its median beats the base median by more than the
+base's quartile spread, and ``worse_beyond_bound`` is true when its median
+is worse than the base median by more than the bound times the base
+median.
 """
 
 from __future__ import annotations
@@ -112,6 +117,8 @@ def summarize(runs: list, metrics: list) -> dict:
         wins = sum((c < b) if lower else (c > b) for b, c in zip(base, change))
         b, c = quartiles(base), quartiles(change)
         base_iqr = b["q3"] - b["q1"]
+        # how far the change's median is better than the base's (negative: worse)
+        gain = (b["median"] - c["median"]) if lower else (c["median"] - b["median"])
         out[name] = {
             "better": m["better"],
             "pairs": len(pairs),
@@ -123,6 +130,8 @@ def summarize(runs: list, metrics: list) -> dict:
             "base_iqr": base_iqr,
             "spread_exceeds_bound": base_iqr > m["bound"] * b["median"],
             "all_change_better": max(change) < min(base) if lower else min(change) > max(base),
+            "gain_shown": 10 * wins >= 9 * len(pairs) and gain > base_iqr,
+            "worse_beyond_bound": -gain > m["bound"] * abs(b["median"]),
         }
     return out
 
@@ -197,6 +206,8 @@ def main(argv=None) -> int:
                     + (", wider than the bound" if s["spread_exceeds_bound"] else "")
                     + (", every change run better" if s["all_change_better"] else "")
                     + ")"
+                    + (", gain shown" if s["gain_shown"] else "")
+                    + (", worse beyond the bound" if s["worse_beyond_bound"] else "")
                 )
     return 0
 
