@@ -17,8 +17,8 @@ base median (a worse median is then "unresolved" rather than "unchanged"),
 and ``all_change_better`` is true when every working-tree run beats every
 base run (which settles the metric even then). Two more say whether a
 claim holds: ``gain_shown`` is true when the working tree wins at least
-9 of 10 pairs and its median beats the base median by more than the
-base's quartile spread, and ``worse_beyond_bound`` is true when its median
+nine tenths of the pairs and its median beats the base median by more
+than the base's quartile spread, and ``worse_beyond_bound`` is true when its median
 is worse than the base median by more than the bound times the base
 median.
 """
