@@ -24,7 +24,7 @@ import scipy.sparse as sp
 from .align import as_array
 from .autodiff import Tensor, as_tensor, einsum, parameter, spmm, stack
 from .errors import EncoderMutatedError, ValidationError
-from .graphs import extract_egos, graph_union
+from .graphs import extract_egos, graph_union, unique_ints
 from .nn import PROB_FLOOR, _restriction, encode_nodes, encode_union
 from .optim import Adam
 
@@ -66,13 +66,7 @@ def sample_task(
     if query_limit is not None and len(query) > query_limit:
         idx = rng.choice(len(query), size=query_limit, replace=False)
         query = [query[i] for i in sorted(idx)]
-    return FewShotTask(
-        shots=shots,
-        support=support,
-        query=query,
-        num_classes=num_classes,
-        mode=mode,
-    )
+    return FewShotTask(shots, support, query, num_classes, mode)
 
 
 def mixed_prompt(alpha, centers) -> Tensor:
@@ -184,7 +178,7 @@ class _Episodes:
         self.target, self.tasks, self.config = target, tasks, config
         matrix = as_array(target_aligned, "matrix")
         nodes = [int(n) for t in tasks if t.mode != "node" for n, _ in t.support + t.query]
-        self._ego_nodes, pieces = np.unique(nodes), []
+        self._ego_nodes, pieces = unique_ints(nodes), []
         if any(t.mode == "node" for t in tasks):
             pieces.append(target.a_hat @ matrix)
         self._ego_offset = sum(len(p) for p in pieces)

@@ -1,8 +1,8 @@
 """Small reverse-mode autodiff over float64 numpy arrays.
 
 Covers exactly the operations the models need: broadcast arithmetic,
-matmul, two-operand einsum, sparse-dense matmul, relu, log, sqrt, clamp,
-softmax, reductions, indexing, stacking, and a gradient-reversal wrapper.
+matmul, two-operand einsum, sparse-dense matmul, a fused GCN body, relu,
+log, sqrt, clamp, softmax, reductions, indexing, stacking, and gradient reversal.
 Every tensor tracks its parents; backward() walks the graph once in
 reverse topological order, handing each op its output's gradient. No
 backward closure refers to its own output, so a finished tape holds no
@@ -273,6 +273,27 @@ def spmm(sparse, dense: Tensor) -> Tensor:
         dense._accumulate(sparse.T.tocsr() @ g)
 
     return Tensor(sparse @ dense.data, parents=(dense,), backward=back)
+
+
+def gcn(rows0, rows1, x: Tensor, w1: Tensor, w2: Tensor) -> Tensor:
+    """``rows0 @ relu(rows1 @ (x @ w1)) @ w2`` as one op, for constant sparse
+    rows (``rows1=None``: identity); its backward makes the float ops of the
+    unfused matmul/spmm/relu chain in their order, so both agree bit for bit."""
+    hidden = x.data @ w1.data if rows1 is None else rows1 @ (x.data @ w1.data)
+    mask = np.maximum(hidden, 0.0, out=hidden) > 0
+    pooled = rows0 @ hidden
+
+    def back(g):
+        w2._accumulate(pooled.T @ g)
+        d = rows0.T.tocsr() @ (g @ w2.data.T)
+        d *= mask
+        if rows1 is not None:
+            d = rows1.T.tocsr() @ d
+        w1._accumulate(x.data.T @ d)
+        if not x._constant:
+            x._accumulate(d @ w1.data.T)
+
+    return Tensor(pooled @ w2.data, parents=(x, w1, w2), backward=back)
 
 
 def grl(t: Tensor, beta: float = 1.0) -> Tensor:

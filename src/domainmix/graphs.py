@@ -98,7 +98,7 @@ def build_domain_graph(edges, features, domain_id=0, labels=None) -> DomainGraph
         u, v = ends[np.argmax(bad)]
         raise ValidationError(f"edge ({u}, {v}) out of range for {n} nodes")
     # both orientations of every edge, deduplicated and in CSR order at once
-    codes = np.unique(np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]]))
+    codes = unique_ints(np.concatenate([ends[:, 0] * n + ends[:, 1], ends[:, 1] * n + ends[:, 0]]))
     row_offsets = np.concatenate([[0], np.cumsum(np.bincount(codes // n, minlength=n))])
     col_targets = codes % n
 
@@ -115,6 +115,15 @@ def build_domain_graph(edges, features, domain_id=0, labels=None) -> DomainGraph
         features_raw=features,
         labels=labels,
     )
+
+
+def unique_ints(values) -> np.ndarray:
+    """``np.unique`` by sort then mask: numpy 2.4 sends a plain np.unique of
+    integers through a hash table, tens of times slower on these codes."""
+    flat = np.sort(np.asarray(values), axis=None)
+    keep = np.ones(len(flat), dtype=bool)
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    return flat[keep]
 
 
 def load_graph(edge_path, feature_path, domain_id=0, labels_path=None) -> DomainGraph:
@@ -176,7 +185,7 @@ def extract_egos(graph: DomainGraph, centers, hops: int, features=None) -> list[
 
     reached = frontier = codes = np.arange(len(centers)) * n + centers
     for _ in range(hops):
-        found = np.unique(_adjacent(graph, frontier)[1])
+        found = unique_ints(_adjacent(graph, frontier)[1])
         at = np.searchsorted(reached, found).clip(max=len(reached) - 1)
         frontier = found[reached[at] != found]
         reached = np.sort(np.concatenate([reached, frontier]))
@@ -271,6 +280,17 @@ def block_union(features, edges, sizes) -> SubgraphUnion:
         (1.0 / sizes[owner], (owner, np.arange(total))), shape=(len(sizes), total)
     )
     return SubgraphUnion(ax=a_hat @ features, pool_a=(pool @ a_hat).tocsr())
+
+
+def join_unions(first: SubgraphUnion, second: SubgraphUnion) -> SubgraphUnion:
+    """``first``'s blocks, then ``second``'s. pool_a's CSR arrays are joined as
+    they stand: ``sp.block_diag`` would reorder columns, and so spmm's sums."""
+    a, b = first.pool_a, second.pool_a
+    data = np.concatenate([a.data, b.data])
+    indices = np.concatenate([a.indices, b.indices + a.shape[1]])
+    indptr = np.concatenate([a.indptr, b.indptr[1:] + a.indptr[-1]])
+    pool_a = sp.csr_matrix((data, indices, indptr), shape=np.add(a.shape, b.shape))
+    return SubgraphUnion(ax=np.concatenate([first.ax, second.ax]), pool_a=pool_a)
 
 
 def drop_nodes(graph: DomainGraph, fraction: float, rng) -> tuple[DomainGraph, np.ndarray]:

@@ -14,13 +14,15 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .align import as_array
 from .errors import NoMixablePairsError, ValidationError
-from .graphs import SubgraphUnion, block_union, extract_egos
+from .graphs import SubgraphUnion, block_union, extract_egos, join_unions, unique_ints
 from .seeding import sub_seed
 
 # the mixing weight of lambda mode "fixed"
@@ -56,15 +58,19 @@ class MixedSubgraph:
 
 @dataclass
 class MixBatch:
-    """A batch of mixed subgraphs, inter pairs first, as one union: block i
-    of ``union`` is the mix of pair i."""
+    """A batch of mixed subgraphs, inter pairs first: block i of ``union``
+    is the mix of pair i. ``union`` is built by ``make_union`` on first read."""
 
-    union: SubgraphUnion
     coarse_labels: np.ndarray  # per block: 0 intra, 1 inter
     mix_labels: np.ndarray  # blocks x K, each row on the simplex
     provenance: list  # per block: (domain_a, node_a, domain_b, node_b, lam)
     num_nodes: np.ndarray  # per block
     num_edges: np.ndarray  # per block
+    make_union: Callable[[], SubgraphUnion]
+
+    @cached_property
+    def union(self) -> SubgraphUnion:
+        return self.make_union()
 
 
 def cosine_sim(x, y) -> float:
@@ -277,7 +283,7 @@ def mix_pairs(subs_a, subs_b, lams):
     features[offsets] = lams[:, None] * xa[ca] + (1.0 - lams)[:, None] * xb[cb]
     ends = [np.sort(ids_a[ea], axis=1), np.sort(ids_b[eb], axis=1)]
     codes = [(e[:, 0] * len(features) + e[:, 1])[e[:, 0] != e[:, 1]] for e in ends]
-    edges = np.column_stack(np.divmod(np.unique(np.concatenate(codes)), len(features)))
+    edges = np.column_stack(np.divmod(unique_ints(np.concatenate(codes)), len(features)))
     return features, sizes, edges, (ids_a, ids_b), codes
 
 
@@ -392,49 +398,53 @@ def build_batch(
     coarse, mix_labels, provenance = _labels(subs_a, subs_b, lams, len(graphs))
     owner = np.repeat(np.arange(len(pairs)), sizes)
     return MixBatch(
-        union=block_union(features, edges, sizes),
         coarse_labels=coarse,
         mix_labels=mix_labels,
         provenance=provenance,
         num_nodes=sizes,
         num_edges=np.bincount(owner[edges[:, 0]], minlength=len(pairs)),
+        make_union=lambda: block_union(features, edges, sizes),
+    )
+
+
+def join_batches(first: MixBatch, second: MixBatch) -> MixBatch:
+    """``first``'s blocks, then ``second``'s; the union joins theirs."""
+    fields = ("coarse_labels", "mix_labels", "num_nodes", "num_edges")
+    return MixBatch(
+        **{f: np.concatenate([getattr(first, f), getattr(second, f)]) for f in fields},
+        provenance=first.provenance + second.provenance,
+        make_union=lambda: join_unions(first.union, second.union),
     )
 
 
 def epoch_batches(graphs, aligned, boundary_sets, config):
     """The pre-training batch builder: returns ``batch(epoch) -> MixBatch``.
 
-    Inter pairs and their lambdas are drawn once, here; intra pairs and
-    theirs are redrawn per epoch from ``config.intra_pool``. Each draw has
-    its own sub-seed of config.seed. Every epoch mixes both halves in one
-    build_batch call, and an ego is extracted once per run.
+    Inter pairs and their lambdas are drawn and mixed once, here; intra
+    pairs and theirs are redrawn and mixed per epoch from
+    ``config.intra_pool``, each draw under its own sub-seed of config.seed.
+    Each epoch joins the two halves, and an ego is extracted once per run.
     """
     inter_pairs = select_pairs(
-        boundary_sets,
-        aligned,
-        config.gamma,
-        config.n_pairs,
-        rng_seed=sub_seed(config.seed, "inter-pairs"),
-        mode=config.pair_mode,
+        boundary_sets, aligned, config.gamma, config.n_pairs,
+        rng_seed=sub_seed(config.seed, "inter-pairs"), mode=config.pair_mode,
     )
     if config.intra_pool == "boundary":
         pools = [bs.node_ids for bs in boundary_sets]
     else:
         pools = [np.arange(g.num_nodes) for g in graphs]
-
-    def lambdas(n, name):
-        rng = np.random.default_rng(sub_seed(config.seed, name))
-        return _lambdas(n, config.lambda_mode, FIXED_LAMBDA, config.lambda_alpha, rng)
-
-    inter_lams = lambdas(len(inter_pairs), "lambda-inter")
     egos = {}
+
+    def mixed(pairs, name):
+        rng = np.random.default_rng(sub_seed(config.seed, name))
+        lams = _lambdas(len(pairs), config.lambda_mode, FIXED_LAMBDA, config.lambda_alpha, rng)
+        return build_batch(pairs, [], graphs, aligned, hops=config.hops, lam=lams, egos=egos)
+
+    inter = mixed(inter_pairs, "lambda-inter")
 
     def batch(epoch: int) -> MixBatch:
         seed = sub_seed(config.seed, f"intra-pairs-epoch-{epoch}")
         intra_pairs = sample_intra_pairs(pools, config.n_pairs, len(graphs), rng_seed=seed)
-        lams = np.concatenate([inter_lams, lambdas(len(intra_pairs), f"lambda-epoch-{epoch}")])
-        return build_batch(
-            inter_pairs, intra_pairs, graphs, aligned, hops=config.hops, lam=lams, egos=egos
-        )
+        return join_batches(inter, mixed(intra_pairs, f"lambda-epoch-{epoch}"))
 
     return batch

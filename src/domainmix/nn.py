@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Tensor, as_tensor, grl, parameter, spmm, stack
+from .autodiff import Tensor, as_tensor, gcn, grl, parameter, stack
 from .errors import ValidationError
-from .graphs import normalized_adjacency
+from .graphs import normalized_adjacency, unique_ints
 from .mixing import epoch_batches
 from .optim import Adam
 from .seeding import sub_seed
@@ -70,18 +70,13 @@ def init_model(d: int, hidden: int, num_domains: int, seed: int = 0) -> ModelSta
 
 
 def _forward(rows0, rows1, x: Tensor, state: ModelState) -> Tensor:
-    """rows0 @ relu(rows1 @ X @ W1) @ W2, the encoder's one body.
-
-    ``rows1=None`` means X arrives already propagated (it is rows1 @ X).
-    """
+    """rows0 @ relu(rows1 @ X @ W1) @ W2, the encoder's one body; ``rows1=None``
+    means X arrives already propagated (it is rows1 @ X)."""
     if x.data.shape[1] != state.d:
         raise ValidationError(
             f"feature width {x.data.shape[1]} does not match encoder input {state.d}"
         )
-    hidden = x @ state.params["encoder.w1"]
-    if rows1 is not None:
-        hidden = spmm(rows1, hidden)
-    return spmm(rows0, hidden.relu()) @ state.params["encoder.w2"]
+    return gcn(rows0, rows1, x, state.params["encoder.w1"], state.params["encoder.w2"])
 
 
 def gcn_encode(sub, state: ModelState) -> Tensor:
@@ -123,7 +118,7 @@ def encode_nodes(graph, features, state: ModelState, nodes) -> Tensor:
         )
     rows0, s1 = _restriction(graph, nodes)
     rows1 = graph.a_hat[s1]
-    s2 = np.unique(rows1.indices)  # 2-hop closure
+    s2 = unique_ints(rows1.indices)  # 2-hop closure
     return _forward(rows0, rows1[:, s2].tocsr(), as_tensor(features)[s2], state)
 
 
@@ -131,7 +126,7 @@ def _restriction(graph, nodes):
     """``(A_hat[nodes][:, s1], s1)`` with s1 the 1-hop closure of ``nodes``
     (self-loops included)."""
     rows0 = graph.a_hat[nodes]
-    s1 = np.unique(rows0.indices)
+    s1 = unique_ints(rows0.indices)
     return rows0[:, s1].tocsr(), s1
 
 

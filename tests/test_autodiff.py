@@ -285,3 +285,67 @@ def test_einsum_rejects_specs_without_a_plain_gradient():
     for spec in ("ii,i->i", "ij,j->j", "ij,jk", "ij,jk,kl->il", "i,i->ii"):
         with pytest.raises(ValidationError):
             einsum(spec, np.ones((2, 2)), np.ones(2))
+
+
+def _gcn_inputs(rng, rows1_sparse):
+    n, m, d, h = 9, 4, 5, 6
+    rows0 = sp.random(m, n, density=0.5, random_state=1, format="csr") + sp.eye(m, n, format="csr")
+    rows1 = (
+        sp.random(n, n, density=0.4, random_state=2, format="csr") + sp.eye(n, format="csr")
+        if rows1_sparse
+        else None
+    )
+    x, w1, w2 = rng.normal(size=(n, d)), rng.normal(size=(d, h)), rng.normal(size=(h, 3))
+    return rows0.tocsr(), None if rows1 is None else rows1.tocsr(), x, w1, w2
+
+
+@pytest.mark.parametrize("rows1_sparse", [False, True])
+def test_gcn_gradients_match_fd(rows1_sparse):
+    from domainmix.autodiff import gcn
+
+    rng = np.random.default_rng(50 + rows1_sparse)
+    rows0, rows1, x0, w10, w20 = _gcn_inputs(rng, rows1_sparse)
+    weights = Tensor(rng.normal(size=(rows0.shape[0], w20.shape[1])))
+    args = {"x": x0, "w1": w10, "w2": w20}
+    for name in args:
+
+        def loss(t, name=name):
+            given = {k: Tensor(v) for k, v in args.items()}
+            given[name] = t
+            return (gcn(rows0, rows1, given["x"], given["w1"], given["w2"]) * weights).sum()
+
+        check_against_fd(loss, args[name])
+
+
+@pytest.mark.parametrize("rows1_sparse", [False, True])
+def test_gcn_is_bit_equal_to_the_unfused_chain(rows1_sparse):
+    from domainmix.autodiff import gcn
+
+    rng = np.random.default_rng(60 + rows1_sparse)
+    rows0, rows1, x0, w10, w20 = _gcn_inputs(rng, rows1_sparse)
+    weights = rng.normal(size=(rows0.shape[0], w20.shape[1]))
+    results = []
+    for fused in (True, False):
+        x, w1, w2 = parameter(x0), parameter(w10), parameter(w20)
+        if fused:
+            out = gcn(rows0, rows1, x, w1, w2)
+        else:
+            hidden = x @ w1
+            if rows1 is not None:
+                hidden = spmm(rows1, hidden)
+            out = spmm(rows0, hidden.relu()) @ w2
+        (out * Tensor(weights)).sum().backward()
+        results.append([out.data, x.grad, w1.grad, w2.grad])
+    for got, want in zip(*results):
+        assert np.array_equal(got, want)
+
+
+def test_gcn_gives_constants_no_gradient():
+    from domainmix.autodiff import gcn
+
+    rng = np.random.default_rng(61)
+    rows0, rows1, x0, w10, w20 = _gcn_inputs(rng, True)
+    x, w1, w2 = Tensor(x0), parameter(w10), Tensor(w20)
+    gcn(rows0, rows1, x, w1, w2).sum().backward()
+    assert x._grad is None and w2._grad is None
+    assert w1.grad.shape == w10.shape and np.abs(w1.grad).sum() > 0

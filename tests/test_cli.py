@@ -161,6 +161,39 @@ def test_mix_writes_the_epoch_0_pretraining_batch(workspace, tmp_path, monkeypat
     assert len({lam for *_, lam in want}) > 1  # beta draws, not the fixed 0.5
 
 
+# sha-256 of mixed.jsonl for GEN and CFG, recorded when every epoch built
+# its whole union: lazy unions must not change a byte of the file
+MIXED_SHA256 = {
+    "fixed": "c8537922087a88d39e5c90161b52c6533495b12161feb875ea60e980c7055461",
+    "beta": "6336dc74195a55af45363fb969a7a842a72811649bb9d7b382547683779e376d",
+}
+
+
+@pytest.mark.parametrize("mode", ["fixed", "beta"])
+def test_mix_builds_no_union_and_writes_the_same_bytes(workspace, tmp_path, monkeypatch, mode):
+    import hashlib
+
+    import domainmix.graphs
+
+    calls = []
+    real = domainmix.graphs.normalized_adjacency
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(domainmix.graphs, "normalized_adjacency", counting)
+    out = tmp_path / "mix"
+    code, _, err = run(
+        ["mix", "--data", str(workspace / "data"), "--out", str(out), "--lambda-mode", mode]
+        + CFG
+    )
+    assert code == 0, err
+    assert calls == []
+    digest = hashlib.sha256((out / "mixed.jsonl").read_bytes()).hexdigest()
+    assert digest == MIXED_SHA256[mode]
+
+
 def test_pretrain_artifacts(workspace):
     art = workspace / "art"
     assert (art / "model.mdgm").exists()

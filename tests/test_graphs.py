@@ -371,3 +371,39 @@ def test_load_graph_names_the_first_edge_past_the_rows_and_the_path(tmp_path):
         load_graph(tmp_path / "e.txt", tmp_path / "x.mdgf")
     assert "edge (2, 3) references a node >= 3" in str(exc.value)
     assert "e.txt" in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.random.default_rng(70).integers(0, 500, size=2000),
+        np.empty(0, dtype=np.int64),
+        np.full(17, 4, dtype=np.int64),
+        np.random.default_rng(71).integers(-50, 50, size=300),
+        np.random.default_rng(72).integers(0, 9, size=(6, 7)),
+        np.random.default_rng(73).integers(0, 90, size=200).astype(np.int32),
+    ],
+)
+def test_unique_ints_matches_np_unique(values):
+    from domainmix.graphs import unique_ints
+
+    got, want = unique_ints(values), np.unique(values)
+    assert got.dtype == want.dtype == values.dtype
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+def test_join_unions_equals_one_union_bit_for_bit():
+    from domainmix.graphs import graph_union, join_unions
+
+    rng = np.random.default_rng(74)
+    g = build_domain_graph(
+        [(u, v) for u in range(40) for v in range(u + 1, 40) if rng.random() < 0.1],
+        rng.normal(size=(40, 3)),
+    )
+    subs = [extract_ego(g, int(c), 2) for c in rng.choice(40, 9)]
+    got, want = join_unions(graph_union(subs[:4]), graph_union(subs[4:])), graph_union(subs)
+    assert np.array_equal(got.ax, want.ax)
+    for part in ("data", "indices", "indptr"):
+        a, b = getattr(got.pool_a, part), getattr(want.pool_a, part)
+        assert a.dtype == b.dtype and np.array_equal(a, b), part
+    assert got.pool_a.shape == want.pool_a.shape

@@ -747,3 +747,67 @@ def test_pretrain_builds_no_per_pair_mix_and_no_union(monkeypatch):
     assert domainmix.mixing.mix_subgraphs is refuse
     _, got = pretrain(graphs, aligned, bsets, cfg)
     assert got == want
+
+
+@pytest.mark.parametrize("lambda_mode", ["fixed", "beta"])
+def test_epoch_batches_equal_one_build_batch_and_mix_inter_once(lambda_mode, monkeypatch):
+    import domainmix.mixing as mixing_module
+    from domainmix.config import RunConfig
+    from domainmix.pipeline import prepare
+    from domainmix.seeding import sub_seed
+    from domainmix.synth import SynthSpec, make_synth
+
+    seed = 3
+    graphs, _, _ = make_synth(SynthSpec(K=3, nodes_per_domain=200), seed)
+    cfg = RunConfig(seed=seed, pca_dim=8, n_pairs=12, gamma=0.3, rho=0.3, hops=2,
+                    lambda_mode=lambda_mode).validate()
+    aligned, _, bsets = prepare(graphs, cfg)
+    built, unions = [], []
+    real_build, real_union = mixing_module.build_batch, mixing_module.block_union
+
+    def recording(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    def counting(*args):
+        unions.append(args)
+        return real_union(*args)
+
+    # the module-level build_batch imported above stays the real one
+    monkeypatch.setattr(mixing_module, "build_batch", recording)
+    monkeypatch.setattr(mixing_module, "block_union", counting)
+    batch = mixing_module.epoch_batches(graphs, aligned, bsets, cfg)
+
+    def lambdas(n, name):
+        rng = np.random.default_rng(sub_seed(seed, name))
+        return mixing_module._lambdas(n, lambda_mode, 0.5, cfg.lambda_alpha, rng)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inter = select_pairs(bsets, aligned, cfg.gamma, cfg.n_pairs,
+                             rng_seed=sub_seed(seed, "inter-pairs"), mode=cfg.pair_mode)
+    pools = [b.node_ids for b in bsets]
+    epochs = range(5)
+    for epoch in epochs:
+        got = batch(epoch)
+        before = len(unions)
+        assert got.union.num_graphs == len(got.provenance)
+        # the inter half's union is built at epoch 0 and reused after it
+        assert len(unions) - before == (2 if epoch == 0 else 1)
+        intra = sample_intra_pairs(pools, cfg.n_pairs, len(graphs),
+                                   rng_seed=sub_seed(seed, f"intra-pairs-epoch-{epoch}"))
+        lams = np.concatenate([lambdas(len(inter), "lambda-inter"),
+                               lambdas(len(intra), f"lambda-epoch-{epoch}")])
+        want = build_batch(inter, intra, graphs, aligned, hops=cfg.hops, lam=lams)
+        assert np.array_equal(got.union.ax, want.union.ax)
+        for part in ("indptr", "indices", "data"):
+            a, b = getattr(got.union.pool_a, part), getattr(want.union.pool_a, part)
+            assert a.dtype == b.dtype and np.array_equal(a, b), part
+        for field in ("coarse_labels", "mix_labels", "num_nodes", "num_edges"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+        assert got.provenance == want.provenance
+    # one inter build per run, one intra build per epoch
+    inter_blocks = [int(b.coarse_labels.sum()) for b in built]
+    assert inter_blocks == [len(inter)] + [0] * len(epochs)
+    assert all(len(b.provenance) == cfg.n_pairs for b in built[1:])

@@ -50,12 +50,12 @@ def single_node_sub(feat, domain=0, num_domains=2, coarse=1):
 def batch_of(subs):
     """A MixBatch of ready mixed subgraphs, in the given order."""
     return MixBatch(
-        union=graph_union(subs),
         coarse_labels=np.array([s.coarse_label for s in subs]),
         mix_labels=np.array([s.mix_label for s in subs]),
         provenance=[s.provenance for s in subs],
         num_nodes=np.array([s.num_nodes for s in subs]),
         num_edges=np.array([len(s.edges) for s in subs]),
+        make_union=lambda: graph_union(subs),
     )
 
 
