@@ -66,7 +66,13 @@ def sample_task(
     if query_limit is not None and len(query) > query_limit:
         idx = rng.choice(len(query), size=query_limit, replace=False)
         query = [query[i] for i in sorted(idx)]
-    return FewShotTask(shots, support, query, num_classes, mode)
+    return FewShotTask(
+        shots=shots,
+        support=support,
+        query=query,
+        num_classes=num_classes,
+        mode=mode,
+    )
 
 
 def mixed_prompt(alpha, centers) -> Tensor:

@@ -154,11 +154,8 @@ class Tensor:
 
         def back(g):
             if a.ndim == 2 and b.ndim == 2:
-                # a constant operand (say, propagated features) can be large
-                if not self._constant:
-                    self._accumulate(g @ b.T)
-                if not other._constant:
-                    other._accumulate(a.T @ g)
+                self._accumulate(g @ b.T)
+                other._accumulate(a.T @ g)
             elif a.ndim == 1 and b.ndim == 2:
                 self._accumulate(b @ g)
                 other._accumulate(np.outer(a, g))

@@ -426,8 +426,12 @@ def epoch_batches(graphs, aligned, boundary_sets, config):
     Each epoch joins the two halves, and an ego is extracted once per run.
     """
     inter_pairs = select_pairs(
-        boundary_sets, aligned, config.gamma, config.n_pairs,
-        rng_seed=sub_seed(config.seed, "inter-pairs"), mode=config.pair_mode,
+        boundary_sets,
+        aligned,
+        config.gamma,
+        config.n_pairs,
+        rng_seed=sub_seed(config.seed, "inter-pairs"),
+        mode=config.pair_mode,
     )
     if config.intra_pool == "boundary":
         pools = [bs.node_ids for bs in boundary_sets]
